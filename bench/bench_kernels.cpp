@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
+#include "stap/data_cube.hpp"
 #include "stap/doppler.hpp"
 #include "stap/pulse_compress.hpp"
 #include "stap/scene.hpp"
@@ -120,6 +121,47 @@ void BM_DopplerFilter(benchmark::State& state) {
                           static_cast<std::int64_t>(cube.samples() * sizeof(cfloat)));
 }
 BENCHMARK(BM_DopplerFilter);
+
+// The range-major cube codec at the paper's Doppler slab: one of two
+// Doppler nodes' share of the 16 x 128 x 1024 cube (16 x 128 x 512, 8 MiB).
+// Unpack is what every embedded/separate Doppler node runs per CPI; pack is
+// what write_cpi runs on every range-major file.
+RadarParams paper_doppler_slab() {
+  RadarParams p;
+  p.ranges /= 2;
+  return p;
+}
+
+void BM_CubeUnpack(benchmark::State& state) {
+  const RadarParams p = paper_doppler_slab();
+  std::vector<cfloat> raw(p.cube_samples());
+  for (std::size_t i = 0; i < raw.size(); ++i) raw[i] = {float(i), -float(i)};
+  DataCube cube(p.channels, p.pulses, p.ranges);
+  for (auto _ : state) {
+    cube.unpack_file_order(0, p.ranges, raw);
+    benchmark::DoNotOptimize(cube.flat().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p.cube_bytes()));
+}
+BENCHMARK(BM_CubeUnpack);
+
+void BM_CubePack(benchmark::State& state) {
+  const RadarParams p = paper_doppler_slab();
+  DataCube cube(p.channels, p.pulses, p.ranges);
+  const auto flat = cube.flat();
+  for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = {float(i), -float(i)};
+  std::vector<cfloat> raw(cube.samples());
+  for (auto _ : state) {
+    cube.pack_file_order(0, p.ranges, raw);
+    benchmark::DoNotOptimize(raw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p.cube_bytes()));
+}
+BENCHMARK(BM_CubePack);
 
 void BM_WeightsEasy(benchmark::State& state) {
   const RadarParams p = bench_params();

@@ -25,7 +25,8 @@ import json
 import sys
 
 # Kernel benches whose whole point is a bandwidth claim: the GEMM layer's
-# micro-kernels and the weight-solve/beamform stages they feed. A record for
+# micro-kernels, the weight-solve/beamform stages they feed, and the
+# range-major cube codec (pure data movement). A record for
 # one of these without SetBytesProcessed is a broken bench, not a warning —
 # it would silently drop out of the bandwidth gate.
 REQUIRED_BYTES = {
@@ -35,6 +36,8 @@ REQUIRED_BYTES = {
     "BM_WeightsEasy",
     "BM_WeightsHard",
     "BM_Beamform",
+    "BM_CubeUnpack",
+    "BM_CubePack",
 }
 
 

@@ -127,6 +127,12 @@ struct ChunkState {
 
 /// Handle to an in-flight asynchronous read (the paper's iread handle;
 /// wait() plays the role of ireadoff/iowait).
+///
+/// Queued chunks hold raw pointers into the caller's buffer, and
+/// destroying (or overwriting) the handle does NOT drain them. The owner
+/// must wait() — or see done() — before the buffer is freed or reused,
+/// including on exception paths: a holder that can unwind with a request
+/// in flight drains it in its destructor.
 class IoRequest {
  public:
   IoRequest() = default;

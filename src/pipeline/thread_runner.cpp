@@ -309,6 +309,22 @@ class SlabReader {
     }
   }
 
+  /// Reads still in flight (a prefetch issued before the node unwound from
+  /// a crash or a peer's abort) write into bufs_ through raw pointers and
+  /// through files_' descriptors: drain them before either dies. Their
+  /// errors have no consumer left, so they are swallowed.
+  ~SlabReader() {
+    for (pfs::IoRequest& req : pending_) {
+      try {
+        req.wait();
+      } catch (...) {
+      }
+    }
+  }
+
+  SlabReader(const SlabReader&) = delete;
+  SlabReader& operator=(const SlabReader&) = delete;
+
   bool empty() const { return r_lo_ >= r_hi_; }
 
   /// Issue the read for `cpi` (async where supported). Submit-time faults
@@ -449,7 +465,6 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
 
   stap::DopplerFilter filter(p);
   std::optional<SlabReader> reader;
-  std::vector<cfloat> raw_recv;
   const bool collective = embedded && ctx.opt.collective_io;
   std::optional<mp::Comm> doppler_group;
   std::vector<pfs::StripedFile> collective_files;
@@ -465,8 +480,6 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     }
   } else if (embedded) {
     reader.emplace(ctx, r_lo, r_hi);  // first start() issued before the loop
-  } else {
-    raw_recv.resize((r_hi - r_lo) * p.pulses * p.channels);
   }
   const int reads = embedded ? 0 : ctx.nodes_of(TaskKind::kParallelRead);
   const BlockPartition part_read(p.ranges, std::max<std::size_t>(1, reads));
@@ -507,32 +520,24 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     ctx.sup->note_promoted_read();
   };
 
-  // Receive one raw slab piece from read rank `src`, surviving its death:
-  // replay from the checkpoint first; otherwise poll the mailbox against
-  // the supervisor's failover flag. All of a dead rank's sends are visible
-  // before failed() turns true, so the probe-after-failed re-check cannot
-  // strand a delivered message (which FIFO would hand to the wrong CPI).
-  auto recv_piece = [&](int cpi, int src, std::size_t lo, std::size_t hi,
-                        std::span<cfloat> piece) {
-    if (ctx.sup == nullptr) {
-      ctx.world.recv_into<cfloat>(src, kTagRaw, piece);
-      return;
-    }
+  // Receive raw slab piece [lo, hi) from read rank `src` as a file-order
+  // payload, surviving the rank's death: replay from the checkpoint first;
+  // otherwise poll the mailbox against the supervisor's failover flag. All
+  // of a dead rank's sends are visible before failed() turns true, so the
+  // probe-after-failed re-check cannot strand a delivered message (which
+  // FIFO would hand to the wrong CPI).
+  auto recv_piece = [&](int cpi, int src, std::size_t lo, std::size_t hi) {
+    if (ctx.sup == nullptr) return ctx.world.recv_buffer(src, kTagRaw);
     mp::Buffer payload;
-    if (ctx.ring->replay_message(cpi, kTagRaw, src, payload)) {
-      mp::unpack<cfloat>(payload.bytes(), piece);
-      return;
-    }
+    if (ctx.ring->replay_message(cpi, kTagRaw, src, payload)) return payload;
     for (;;) {
       if (ctx.world.probe(src, kTagRaw)) {
         payload = ctx.world.recv_buffer(src, kTagRaw);
-        mp::unpack<cfloat>(payload.bytes(), piece);
         break;
       }
       if (ctx.sup->failed(src) && !ctx.world.probe(src, kTagRaw)) {
-        self_read(cpi, lo, hi, piece);
-        payload = ctx.payload_for(piece.size());
-        std::copy(piece.begin(), piece.end(), payload.as_span<cfloat>().begin());
+        payload = ctx.payload_for((hi - lo) * per_range);
+        self_read(cpi, lo, hi, payload.as_span<cfloat>());
         break;
       }
       if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
@@ -541,13 +546,16 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
     // Log under the consumption CPI either way: a replay of this CPI must
     // see the same bytes whether they came off the wire or the disk. The
     // ring shares the payload handle — no copy.
-    ctx.ring->record_message(cpi, kTagRaw, src, std::move(payload));
+    ctx.ring->record_message(cpi, kTagRaw, src, payload);
+    return payload;
   };
 
   // Steady-state reuse: the cube, the Doppler output, and the pooled send
   // payloads all reach a fixed shape after CPI 0, so the loop allocates
-  // nothing on the receive/send path from then on.
+  // nothing on the receive/send path from then on. The separate path
+  // decodes received pieces straight into the cube, so it is shaped here.
   stap::DataCube cube;
+  if (!embedded) cube = stap::DataCube(p.channels, p.pulses, r_hi - r_lo);
   stap::DopplerOutput out;
   const int cpi0 = ctx.resume_cpi();
   if (reader && reader->async_capable()) reader->start(cpi0);
@@ -580,11 +588,10 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
           const std::size_t hi =
               std::min(r_hi, part_read.end(static_cast<std::size_t>(s)));
           if (lo >= hi) continue;
-          auto piece = std::span<cfloat>(raw_recv)
-                           .subspan((lo - r_lo) * per_range, (hi - lo) * per_range);
-          recv_piece(cpi, ctx.rank_of(TaskKind::kParallelRead, s), lo, hi, piece);
+          const mp::Buffer piece =
+              recv_piece(cpi, ctx.rank_of(TaskKind::kParallelRead, s), lo, hi);
+          cube.unpack_file_order(lo - r_lo, hi - r_lo, piece.as_span<const cfloat>());
         }
-        stap::unpack_slab_into(p, r_lo, r_hi, raw_recv, cube);
       });
     }
 

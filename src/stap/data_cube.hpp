@@ -54,11 +54,17 @@ class DataCube {
   std::span<cfloat> flat() noexcept { return data_.span(); }
   std::span<const cfloat> flat() const noexcept { return data_.span(); }
 
+  /// Range gates per tile of the file-order codec below (a fixed property
+  /// of the codec, exposed so tests can probe the tile edges).
+  static constexpr std::size_t kRangeTile = 32;
+
   /// Pack range gates [r0, r1) into the on-disk order [range][pulse][channel].
-  /// `out` must hold (r1-r0)*pulses*channels elements.
+  /// `out` must hold (r1-r0)*pulses*channels elements. Cache-blocked: the
+  /// transpose runs one tile of kRangeTile gates at a time.
   void pack_file_order(std::size_t r0, std::size_t r1, std::span<cfloat> out) const;
 
-  /// Unpack an on-disk slab of range gates [r0, r1) into this cube.
+  /// Unpack an on-disk slab of range gates [r0, r1) into this cube (the
+  /// inverse of pack_file_order, same tiling); other gates are untouched.
   void unpack_file_order(std::size_t r0, std::size_t r1, std::span<const cfloat> in);
 
   /// Elements in a range slab of the on-disk representation.

@@ -1,22 +1,32 @@
 // Tests for the STAP kernels: parameter invariants, steering structure,
-// cube packing, scene statistics, Doppler filtering physics (tones land in
-// bins, stagger phase relation), adaptive weights (distortionless response,
-// clutter suppression), pulse compression gain, CFAR behaviour, workload
-// model consistency, and a full single-node processing chain that detects
-// injected targets.
+// cube packing (the blocked codec against reference loops, and inside
+// pipelines with partial tiles), scene statistics, Doppler filtering
+// physics (tones land in bins, stagger phase relation), adaptive weights
+// (distortionless response, clutter suppression), pulse compression gain,
+// CFAR behaviour, workload model consistency, and a full single-node
+// processing chain that detects injected targets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <numbers>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
+#include "pipeline/task_spec.hpp"
+#include "pipeline/thread_runner.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
+#include "stap/chain.hpp"
 #include "stap/cube_io.hpp"
 #include "stap/data_cube.hpp"
 #include "stap/doppler.hpp"
@@ -183,6 +193,79 @@ TEST(DataCubeTest, RejectsBadSlab) {
   EXPECT_THROW(cube.pack_file_order(0, 5, raw), PreconditionError);
   EXPECT_THROW(cube.pack_file_order(0, 2, raw), PreconditionError);  // size
 }
+
+// Reference codec: the plain [range][pulse][channel] walk that the blocked
+// transpose replaced. The blocked codec must match it bit for bit.
+std::vector<cfloat> reference_pack(const DataCube& cube, std::size_t r0,
+                                   std::size_t r1) {
+  std::vector<cfloat> out;
+  for (std::size_t r = r0; r < r1; ++r)
+    for (std::size_t p = 0; p < cube.pulses(); ++p)
+      for (std::size_t c = 0; c < cube.channels(); ++c) out.push_back(cube.at(c, p, r));
+  return out;
+}
+
+void reference_unpack(DataCube& cube, std::size_t r0, std::size_t r1,
+                      std::span<const cfloat> in) {
+  std::size_t idx = 0;
+  for (std::size_t r = r0; r < r1; ++r)
+    for (std::size_t p = 0; p < cube.pulses(); ++p)
+      for (std::size_t c = 0; c < cube.channels(); ++c) cube.at(c, p, r) = in[idx++];
+}
+
+bool same_bits(std::span<const cfloat> a, std::span<const cfloat> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)) == 0;
+}
+
+/// Distinct, non-trivial sample values (including -0.0f and a NaN payload)
+/// so a misplaced or bit-altered element cannot go unnoticed.
+void fill_distinct(std::span<cfloat> v, float salt) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = {static_cast<float>(i) + salt, -0.5f * static_cast<float>(i) - salt};
+  }
+  if (!v.empty()) v[0] = {-0.0f, std::numeric_limits<float>::quiet_NaN()};
+}
+
+class BlockedCodecCases
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(BlockedCodecCases, PackAndUnpackMatchReferenceLoops) {
+  const auto [channels, ranges] = GetParam();
+  constexpr std::size_t kPulses = 5;
+  DataCube cube(channels, kPulses, ranges);
+  fill_distinct(cube.flat(), 0.25f);
+
+  // Whole cube, a suffix slab (r0 > 0), and an interior slab straddling
+  // a tile edge where the cube is wide enough to have one.
+  std::vector<std::pair<std::size_t, std::size_t>> slabs = {{0, ranges}};
+  if (ranges > 1) slabs.push_back({ranges / 3 + 1, ranges});
+  if (ranges > DataCube::kRangeTile + 2) {
+    slabs.push_back({DataCube::kRangeTile - 1, ranges - 1});
+  }
+  for (const auto& [r0, r1] : slabs) {
+    SCOPED_TRACE("slab [" + std::to_string(r0) + ", " + std::to_string(r1) + ")");
+    std::vector<cfloat> packed(cube.slab_samples(r0, r1));
+    cube.pack_file_order(r0, r1, packed);
+    EXPECT_TRUE(same_bits(packed, reference_pack(cube, r0, r1)));
+
+    std::vector<cfloat> in(packed.size());
+    fill_distinct(in, 7.0f);
+    DataCube got(channels, kPulses, ranges), want(channels, kPulses, ranges);
+    fill_distinct(got.flat(), 3.5f);  // gates outside the slab must survive
+    fill_distinct(want.flat(), 3.5f);
+    got.unpack_file_order(r0, r1, in);
+    reference_unpack(want, r0, r1, in);
+    EXPECT_TRUE(same_bits(got.flat(), want.flat()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, BlockedCodecCases,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 3, 16),
+                       ::testing::Values<std::size_t>(1, DataCube::kRangeTile - 1,
+                                                      DataCube::kRangeTile + 1,
+                                                      3 * DataCube::kRangeTile + 5)));
 
 // ----------------------------------------------------------------- scene --
 
@@ -900,6 +983,68 @@ TEST_F(CubeIoTest, AsyncSlabReadMatchesSync) {
   const DataCube async_cube = unpack_slab(p, r0, r1, raw);
   EXPECT_TRUE(std::equal(sync_cube.flat().begin(), sync_cube.flat().end(),
                          async_cube.flat().begin()));
+}
+
+// Doppler slab widths that are not tile multiples put partial tiles on both
+// sides of the codec inside a real pipeline: write_cpi packs each whole
+// cube, and every Doppler node decodes its own slab (embedded I/O) or its
+// received file-order pieces at offsets r0 > 0 (separate I/O). Every CPI
+// must reproduce the sequential StapChain's detections.
+class CodecPipelineTest : public CubeIoTest {
+ protected:
+  static constexpr int kCpis = 5;
+
+  pipeline::RunOptions options() const {
+    pipeline::RunOptions opt;
+    opt.cpis = kCpis;
+    opt.warmup = 1;
+    opt.seed = 77;
+    opt.fs_root = root_;
+    opt.scene.cnr_db = 40.0;
+    opt.scene.targets = {{40, 8.0, 0.0, 18.0}, {90, 1.0, -0.35, 25.0}};
+    return opt;
+  }
+
+  void expect_chain_detections(const pipeline::PipelineSpec& spec) const {
+    const pipeline::RunOptions opt = options();
+    pipeline::ThreadRunner runner(spec, opt);
+    const pipeline::RunResult result = runner.run();
+    ASSERT_TRUE(result.dropped_cpis.empty());
+
+    SceneGenerator gen(spec.params, opt.scene, opt.seed);
+    StapChain chain(spec.params);
+    for (int cpi = 0; cpi < kCpis; ++cpi) {
+      const auto want =
+          cells_of(chain.push(gen.generate(cpi % opt.round_robin_files)), cpi);
+      EXPECT_EQ(cells_of(result.detections, cpi), want) << "cpi " << cpi;
+      if (cpi > 0) {
+        EXPECT_FALSE(want.empty()) << "cpi " << cpi;
+      }
+    }
+  }
+
+ private:
+  using Cell = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
+  static std::set<Cell> cells_of(const std::vector<Detection>& dets, int cpi) {
+    std::set<Cell> cells;
+    for (const auto& d : dets) {
+      if (d.cpi == static_cast<std::uint64_t>(cpi)) cells.insert({d.bin, d.beam, d.range});
+    }
+    return cells;
+  }
+};
+
+TEST_F(CodecPipelineTest, EmbeddedPartialTilesMatchStapChain) {
+  // test_small has 128 range gates: three Doppler nodes get 43/43/42.
+  expect_chain_detections(
+      pipeline::PipelineSpec::embedded_io(RadarParams::test_small(), {3, 1, 1, 1, 1, 1, 1}));
+}
+
+TEST_F(CodecPipelineTest, SeparatePiecesAtOffsetsMatchStapChain) {
+  // Two read nodes (64/64) feed three Doppler nodes (43/43/42): the middle
+  // Doppler node decodes one piece from each reader, the second at r0 = 21.
+  expect_chain_detections(pipeline::PipelineSpec::separate_io(
+      RadarParams::test_small(), {2, 3, 1, 1, 1, 1, 1, 1}));
 }
 
 TEST(CubeIoNames, RoundRobinCyclesThroughFourFiles) {

@@ -281,6 +281,32 @@ TEST_F(SupervisorPipelineTest, IoTaskDeathAfterReadBeforeSendFailsOverCleanly) {
   EXPECT_EQ(rec.promoted_reads, 3u);
 }
 
+// Embedded twin: the Doppler rank (rank 0 of the embedded layout) reads
+// its own slab and dies at its CPI 1 send phase, after it has issued the
+// CPI 2 prefetch into its read buffers. Unwinding must drain that read
+// before the buffers are freed; the respawned rank re-reads CPI 1 from
+// disk and the results stay identical.
+TEST_F(SupervisorPipelineTest, EmbeddedDopplerDeathWithPrefetchInFlightRecovers) {
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+
+  pipeline::ThreadRunner baseline(spec, options("ebase"));
+  const auto clean = baseline.run();
+
+  auto opt = supervised("esend");
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(61);
+  opt.fault_plan->arm_crash("pipeline.rank.0.send", /*at_index=*/1);
+  pipeline::ThreadRunner runner(spec, opt);
+  const auto result = runner.run();
+
+  expect_same_detections(result, clean);
+  EXPECT_TRUE(result.dropped_cpis.empty());
+  const auto& rec = result.metrics.recovery;
+  EXPECT_EQ(rec.crashes_detected, 1u);
+  EXPECT_EQ(rec.ranks_respawned, 1u);
+  EXPECT_EQ(rec.io_failovers, 0u);
+}
+
 // -------------------------------------------------------- data integrity --
 
 // Every injected read-side corruption must be caught by the CRC32C
