@@ -6,8 +6,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <unistd.h>
 
 #include "perf_json.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fft/fft.hpp"
@@ -15,8 +19,10 @@
 #include "linalg/cmatrix.hpp"
 #include "mp/world.hpp"
 #include "obs/metrics.hpp"
+#include "pfs/striped_file_system.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
+#include "stap/cube_io.hpp"
 #include "stap/data_cube.hpp"
 #include "stap/doppler.hpp"
 #include "stap/pulse_compress.hpp"
@@ -162,6 +168,56 @@ void BM_CubePack(benchmark::State& state) {
                           static_cast<std::int64_t>(p.cube_bytes()));
 }
 BENCHMARK(BM_CubePack);
+
+// CRC32C over one 64 KiB stripe unit: the check a pfs service thread runs
+// on every verified chunk read.
+void BM_Crc32c(benchmark::State& state) {
+  constexpr std::size_t kUnit = 64 * KiB;
+  Rng rng(12);
+  std::vector<unsigned char> unit(kUnit);
+  for (auto& b : unit) b = static_cast<unsigned char>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(unit.data(), unit.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kUnit));
+}
+BENCHMARK(BM_Crc32c);
+
+// One Doppler node's range-major slab (8 MiB) read from a paper-geometry
+// CPI file on an unthrottled paragon_pfs(4) mount. The mount wrote the
+// file, so its checksum catalog covers every 64 KiB unit and each chunk is
+// verified before it is copied out: the embedded Doppler node's per-CPI
+// read, with the service threads' verify cost inside it.
+void BM_VerifiedSlabRead(benchmark::State& state) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("pstap_bench_slab_" + std::to_string(::getpid()));
+  const RadarParams cube_params;
+  const RadarParams slab = paper_doppler_slab();
+  {
+    pfs::StripedFileSystem fs(root, pfs::paragon_pfs(4));
+    DataCube cube(cube_params.channels, cube_params.pulses, cube_params.ranges);
+    const auto flat = cube.flat();
+    for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = {float(i), -float(i)};
+    write_cpi(fs, "cpi", cube);
+    if (fs.checksums().size() == 0) {
+      state.SkipWithError("checksum catalog is empty: reads would not verify");
+    }
+    pfs::StripedFile file = fs.open("cpi");
+    std::vector<cfloat> raw(slab_elements(cube_params, 0, slab.ranges));
+    for (auto _ : state) {
+      start_read_cpi_slab(file, cube_params, 0, slab.ranges, raw).wait();
+      benchmark::DoNotOptimize(raw.data());
+    }
+    if (fs.engine().corrupt_chunks() != 0) state.SkipWithError("checksum mismatch");
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(slab.cube_bytes()));
+}
+BENCHMARK(BM_VerifiedSlabRead)->UseRealTime();
 
 void BM_WeightsEasy(benchmark::State& state) {
   const RadarParams p = bench_params();

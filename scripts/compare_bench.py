@@ -25,10 +25,11 @@ import json
 import sys
 
 # Kernel benches whose whole point is a bandwidth claim: the GEMM layer's
-# micro-kernels, the weight-solve/beamform stages they feed, and the
-# range-major cube codec (pure data movement). A record for
-# one of these without SetBytesProcessed is a broken bench, not a warning —
-# it would silently drop out of the bandwidth gate.
+# micro-kernels, the weight-solve/beamform stages they feed, the range-major
+# cube codec (pure data movement), and the pfs integrity path (CRC32C and
+# the verified slab read, timed in real time). A record for one of these
+# without SetBytesProcessed is a broken bench, not a warning — it would
+# silently drop out of the bandwidth gate.
 REQUIRED_BYTES = {
     "BM_Cgemm",
     "BM_Cherk",
@@ -38,6 +39,8 @@ REQUIRED_BYTES = {
     "BM_Beamform",
     "BM_CubeUnpack",
     "BM_CubePack",
+    "BM_Crc32c",
+    "BM_VerifiedSlabRead/real_time",
 }
 
 

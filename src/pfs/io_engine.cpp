@@ -132,10 +132,10 @@ bool IoEngine::quarantined(std::size_t server) const {
 }
 
 // Transfer the job's pieces between disk and memory. Hedge-capable reads
-// land in `hedge_scratch` (one flat buffer, pieces packed in order) so the
-// caller's buffer is only written by the twin that wins the claim.
-void IoEngine::service_job(std::size_t server, Job& job,
-                           std::vector<std::byte>& hedge_scratch) {
+// land in `scratch.hedge` (one flat buffer, pieces packed in order, sized
+// by the caller) so the caller's buffer is only written by the twin that
+// wins the claim.
+void IoEngine::service_job(std::size_t server, Job& job, Scratch& scratch) {
   // Fault injection: armed delays sleep here (inside the service thread, so
   // they occupy this stripe directory exactly like a slow disk); armed
   // errors throw and are captured as the job's error; a partial-read
@@ -179,7 +179,7 @@ void IoEngine::service_job(std::size_t server, Job& job,
     // dead — stop transferring. The completion path discards the result.
     if (job.chunk && job.chunk->claimed.load(std::memory_order_acquire)) return;
 
-    std::byte* dest = job.chunk ? hedge_scratch.data() + scratch_off : piece.buf;
+    std::byte* dest = job.chunk ? scratch.hedge.data() + scratch_off : piece.buf;
     scratch_off += piece.len;
     const std::size_t piece_len = std::min(piece.len, budget);
     budget -= piece_len;
@@ -192,18 +192,20 @@ void IoEngine::service_job(std::size_t server, Job& job,
 
     if (!job.is_write && entry && piece_len == piece.len &&
         in_unit + piece.len <= entry->valid_len) {
-      // Verified read: serve the unit's whole checksummed prefix into a
-      // scratch buffer, check it end-to-end against the CRC recorded at
-      // write time, then hand only the requested sub-range over — a
-      // corrupted payload never lands in the consumer's buffer.
-      std::vector<std::byte> scratch(entry->valid_len);
-      transfer(scratch.data(), piece.unit_seg_offset, scratch.size(),
-               /*is_write=*/false);
+      // Verified read: serve the unit's whole checksummed prefix into the
+      // thread's verify buffer, check it end-to-end against the CRC
+      // recorded at write time, then hand only the requested sub-range
+      // over — a corrupted payload never lands in the consumer's buffer.
+      if (scratch.verify.size() < entry->valid_len) {
+        scratch.verify.resize(entry->valid_len);
+      }
+      std::byte* unit = scratch.verify.data();
+      transfer(unit, piece.unit_seg_offset, entry->valid_len, /*is_write=*/false);
       if (corrupt_pending && piece.len > 0) {
-        scratch[in_unit + piece.len / 2] ^= std::byte{0xFF};
+        unit[in_unit + piece.len / 2] ^= std::byte{0xFF};
         corrupt_pending = false;
       }
-      if (crc32c(scratch.data(), scratch.size()) != entry->crc) {
+      if (crc32c(unit, entry->valid_len) != entry->crc) {
         corrupt_chunks_.fetch_add(1, std::memory_order_relaxed);
         if (obs::trace_enabled()) {
           obs::TraceRecorder::global().instant(
@@ -215,7 +217,7 @@ void IoEngine::service_job(std::size_t server, Job& job,
                             std::to_string(piece.unit_index) + " served by " +
                             read_sites_[server]);
       }
-      std::copy_n(scratch.data() + in_unit, piece.len, dest);
+      std::copy_n(unit + in_unit, piece.len, dest);
     } else {
       transfer(dest, piece.offset, piece_len, job.is_write);
       if (!job.is_write && corrupt_pending && piece.len > 0) {
@@ -253,6 +255,7 @@ void IoEngine::service_job(std::size_t server, Job& job,
 
 void IoEngine::service_loop(std::size_t server) {
   Queue& q = *queues_[server];
+  Scratch scratch;
   for (;;) {
     Job job;
     {
@@ -282,10 +285,9 @@ void IoEngine::service_loop(std::size_t server) {
     const Seconds started = monotonic_now();
     const std::size_t total = job.total_len();
     std::exception_ptr error;
-    std::vector<std::byte> hedge_scratch;
-    if (job.chunk) hedge_scratch.resize(total);
+    if (job.chunk && scratch.hedge.size() < total) scratch.hedge.resize(total);
     try {
-      service_job(server, job, hedge_scratch);
+      service_job(server, job, scratch);
     } catch (...) {
       error = std::current_exception();
     }
@@ -338,7 +340,7 @@ void IoEngine::service_loop(std::size_t server) {
       if (job.chunk->claim()) {
         std::size_t off = 0;
         for (const Piece& piece : job.pieces) {
-          std::copy_n(hedge_scratch.data() + off, piece.len, piece.buf);
+          std::copy_n(scratch.hedge.data() + off, piece.len, piece.buf);
           off += piece.len;
         }
         bytes_serviced_.fetch_add(total, std::memory_order_relaxed);

@@ -361,8 +361,14 @@ class IoEngine {
   void enqueue(std::size_t server, Job job, bool front);
 
   void service_loop(std::size_t server);
-  void service_job(std::size_t server, Job& job,
-                   std::vector<std::byte>& hedge_scratch);
+  /// Per-service-thread buffers, grown to the largest job seen and reused
+  /// across jobs: the steady-state service path allocates nothing.
+  struct Scratch {
+    std::vector<std::byte> hedge;   ///< hedge-capable reads land here first
+    std::vector<std::byte> verify;  ///< a checksummed unit, before its CRC check
+  };
+
+  void service_job(std::size_t server, Job& job, Scratch& scratch);
   void note_outcome(std::size_t server, bool failed);
 
   double bandwidth_;

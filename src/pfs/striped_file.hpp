@@ -33,6 +33,9 @@ class StripedFile {
 
   const std::string& name() const noexcept { return name_; }
 
+  /// Stable id of the logical file: the key of its ChecksumCatalog entries.
+  std::uint64_t id() const noexcept { return file_id_; }
+
   /// Current logical file size in bytes.
   std::uint64_t size() const;
 

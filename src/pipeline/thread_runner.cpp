@@ -42,7 +42,14 @@ enum : int {
   kTagBeamEasy = 8,     // easy BF -> PC (or PC+CFAR)
   kTagBeamHard = 9,     // hard BF -> PC (or PC+CFAR)
   kTagPcOut = 10,       // PC -> CFAR
+  kTagCredit = 11,      // Doppler -> read task (number of the CPI decoded)
 };
+
+/// Credit window of the separate read task: it sends CPI k to a Doppler
+/// rank only after that rank acknowledged decoding CPI k - kCreditWindow,
+/// so at most this many CPIs per Doppler rank sit undecoded in its mailbox.
+/// Matches SlabReader's double buffer.
+constexpr int kCreditWindow = 2;
 
 /// Maps (task index, local node) <-> world rank: tasks own contiguous rank
 /// blocks in pipeline order.
@@ -406,16 +413,45 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
   const std::size_t r_hi = mine.end(static_cast<std::size_t>(ctx.local));
   SlabReader reader(ctx, r_lo, r_hi);
   const std::size_t per_range = p.pulses * p.channels;
+  const auto piece_of = [&](int d) {
+    return std::pair{std::max(r_lo, theirs.begin(static_cast<std::size_t>(d))),
+                     std::min(r_hi, theirs.end(static_cast<std::size_t>(d)))};
+  };
+
+  // Highest CPI each Doppler rank has acknowledged. A resumed incarnation
+  // cannot tell which credits its predecessor consumed, so everything
+  // before its first CPI counts as acknowledged: that only loosens the
+  // bound for one CPI, it never waits for a credit that will not come.
+  const int cpi0 = ctx.resume_cpi();
+  std::vector<int> acked(static_cast<std::size_t>(dops), cpi0 - 1);
+  // Duplicate credits (a respawned Doppler rank replaying a CPI) and
+  // stale ones are absorbed by the max.
+  const auto await_credit = [&](int d, int cpi) {
+    int& have = acked[static_cast<std::size_t>(d)];
+    const int src = ctx.rank_of(TaskKind::kDoppler, d);
+    while (have < cpi) {
+      if (ctx.sup == nullptr || ctx.world.probe(src, kTagCredit)) {
+        have = std::max(have, ctx.world.recv_value<int>(src, kTagCredit));
+        continue;
+      }
+      if (ctx.sup->failed(src)) return;
+      if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
 
   // Async-capable systems prefetch the next CPI so the read overlaps the
   // send phase; synchronous-only systems (PIOFS) pay the full read inside
   // the receive phase — the contrast the paper studies.
-  const int cpi0 = ctx.resume_cpi();
   if (reader.async_capable()) reader.start(cpi0);
   for (int cpi = cpi0; cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
     std::span<const cfloat> raw;
     clock.recv([&] {
+      for (int d = 0; d < dops; ++d) {
+        const auto [lo, hi] = piece_of(d);
+        if (lo < hi) await_credit(d, cpi - kCreditWindow);
+      }
       if (!reader.async_capable()) reader.start(cpi);
       bool dropped = false;
       raw = reader.wait(cpi, &dropped);
@@ -424,8 +460,7 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
     if (cpi + 1 < ctx.opt.cpis && reader.async_capable()) reader.start(cpi + 1);
     clock.send([&] {
       for (int d = 0; d < dops; ++d) {
-        const std::size_t lo = std::max(r_lo, theirs.begin(static_cast<std::size_t>(d)));
-        const std::size_t hi = std::min(r_hi, theirs.end(static_cast<std::size_t>(d)));
+        const auto [lo, hi] = piece_of(d);
         if (lo >= hi) continue;
         // File order is range-major, so the intersection is contiguous:
         // one copy from the read buffer into a pooled payload, then a
@@ -588,9 +623,16 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
           const std::size_t hi =
               std::min(r_hi, part_read.end(static_cast<std::size_t>(s)));
           if (lo >= hi) continue;
-          const mp::Buffer piece =
-              recv_piece(cpi, ctx.rank_of(TaskKind::kParallelRead, s), lo, hi);
+          const int src = ctx.rank_of(TaskKind::kParallelRead, s);
+          const mp::Buffer piece = recv_piece(cpi, src, lo, hi);
           cube.unpack_file_order(lo - r_lo, hi - r_lo, piece.as_span<const cfloat>());
+          // Release the reader's next CPI. The last kCreditWindow CPIs
+          // have no successor waiting on them, so they send nothing and no
+          // credit is left undrained. A replayed CPI repeats its credit; a
+          // failed-over reader's mailbox just keeps it.
+          if (cpi + kCreditWindow < ctx.opt.cpis) {
+            ctx.world.send_value(src, kTagCredit, cpi);
+          }
         }
       });
     }

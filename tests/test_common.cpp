@@ -1,12 +1,16 @@
 // Unit tests for src/common: error machinery, aligned buffers, RNG
-// statistics and determinism, table rendering, numeric helpers.
+// statistics and determinism, table rendering, numeric helpers, CRC32C.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -264,6 +268,65 @@ TEST(WallClock, TimerResets) {
   const Seconds before = t.elapsed();
   t.reset();
   EXPECT_LE(t.elapsed(), before + 1.0);
+}
+
+// ---------------------------------------------------------------- crc32c --
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> v(n);
+  for (auto& b : v) b = static_cast<unsigned char>(rng.next_u64() & 0xFF);
+  return v;
+}
+
+TEST(Crc32c, KnownAnswer) {
+  constexpr std::string_view kCheck = "123456789";
+  EXPECT_EQ(crc32c(kCheck.data(), kCheck.size()), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_update_portable(0, kCheck.data(), kCheck.size()),
+            0xE3069283u);
+  EXPECT_EQ(crc32c(kCheck.data(), 0), 0u);
+}
+
+// The hardware path must be the same function as the table loop at every
+// length tail (0-7 leftover bytes after the 8-byte steps) and every
+// alignment, so checksums recorded by either verify under the other.
+TEST(Crc32c, HardwareMatchesPortableAtEveryLengthAndOffset) {
+  if (!detail::crc32c_hardware_available()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  const auto buf = random_bytes(8 + 300, 17);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint32_t seed = static_cast<std::uint32_t>(off * 977 + len);
+      ASSERT_EQ(detail::crc32c_update_hardware(seed, buf.data() + off, len),
+                detail::crc32c_update_portable(seed, buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableOnOneMebibyte) {
+  if (!detail::crc32c_hardware_available()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  const auto buf = random_bytes(1 << 20, 23);
+  EXPECT_EQ(detail::crc32c_update_hardware(0, buf.data(), buf.size()),
+            detail::crc32c_update_portable(0, buf.data(), buf.size()));
+}
+
+TEST(Crc32c, ChainedUpdatesEqualOneShot) {
+  const auto buf = random_bytes(70000, 29);
+  const std::uint32_t whole = crc32c(buf.data(), buf.size());
+  EXPECT_EQ(whole, detail::crc32c_update_portable(0, buf.data(), buf.size()));
+  // Split points off every alignment, including empty spans.
+  for (const std::size_t step : std::vector<std::size_t>{1, 3, 8, 13, 4096, 65536}) {
+    std::uint32_t crc = 0;
+    for (std::size_t pos = 0; pos < buf.size(); pos += step) {
+      crc = crc32c_update(crc, buf.data() + pos, std::min(step, buf.size() - pos));
+      crc = crc32c_update(crc, buf.data() + pos, 0);
+    }
+    EXPECT_EQ(crc, whole) << "step " << step;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the striped parallel file system: layout round-trips across
 // stripe factors/units (parameterized), async vs sync read semantics,
-// concurrent readers, persistence across mounts, throttling, error paths.
+// concurrent readers, persistence across mounts, throttling, error paths,
+// and CRC32C verification of served chunks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,9 @@
 #include <fstream>
 #include <thread>
 
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/wall_clock.hpp"
 #include "pfs/striped_file_system.hpp"
@@ -284,6 +287,77 @@ TEST(Pfs, InterleavedWritersAtExclusiveOffsets) {
     f.read(w * region, out);
     EXPECT_EQ(out, payloads[w]) << "writer " << w;
   }
+}
+
+// ------------------------------------------------------------- checksums --
+
+// A catalog recorded with the portable table loop (a build or host without
+// the SSE4.2 path) must verify every read served with the hardware path.
+TEST(PfsChecksum, PortableCatalogVerifiesUnderHardwarePath) {
+  if (!pstap::detail::crc32c_hardware_available()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  constexpr std::size_t kUnit = 4096;
+  TempDir tmp;
+  StripedFileSystem pfs(tmp.path(), small_cfg(4, kUnit));
+  const auto data = pattern_bytes(10 * kUnit + 1234, 21);
+  pfs.write_file("f", data);
+  StripedFile f = pfs.open("f");
+
+  const std::size_t units = (data.size() + kUnit - 1) / kUnit;
+  for (std::size_t u = 0; u < units; ++u) {
+    const auto entry = pfs.checksums().lookup(f.id(), u);
+    ASSERT_TRUE(entry.has_value()) << "unit " << u;
+    const std::size_t len = std::min(kUnit, data.size() - u * kUnit);
+    ASSERT_EQ(entry->valid_len, len) << "unit " << u;
+    const std::uint32_t portable =
+        pstap::detail::crc32c_update_portable(0, data.data() + u * kUnit, len);
+    EXPECT_EQ(entry->crc, portable) << "unit " << u;
+    pfs.checksums().store(f.id(), u, {portable, len});
+  }
+
+  EXPECT_EQ(pfs.read_file("f"), data);
+  Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t off = rng.next_u64() % data.size();
+    const std::size_t len = 1 + rng.next_u64() % (data.size() - off);
+    std::vector<std::byte> out(len);
+    f.read(off, out);
+    ASSERT_TRUE(std::equal(out.begin(), out.end(), data.begin() + off))
+        << "offset " << off << " length " << len;
+  }
+  EXPECT_EQ(pfs.engine().corrupt_chunks(), 0u);
+}
+
+// The verify buffer is reused across jobs, but the order stays verify
+// first, copy second: a corrupted unit must never reach the caller, even
+// right after a clean read left valid bytes of the same unit in the buffer.
+TEST(PfsChecksum, CorruptVerifiedReadLeavesDestinationUntouched) {
+  TempDir tmp;
+  StripedFileSystem pfs(tmp.path(), small_cfg(2, 256));
+  const auto data = pattern_bytes(2048, 5);
+  pfs.write_file("f", data);
+  StripedFile f = pfs.open("f");
+
+  std::vector<std::byte> out(100);  // inside unit 1: one verified piece
+  f.read(300, out);
+  ASSERT_TRUE(std::equal(out.begin(), out.end(), data.begin() + 300));
+
+  auto plan = std::make_shared<fault::FaultPlan>(3);
+  plan->arm_corruption("pfs.server.read", 1.0, /*max_hits=*/1);
+  {
+    fault::FaultScope scope(plan);
+    std::fill(out.begin(), out.end(), std::byte{0xA5});
+    EXPECT_THROW(f.read(300, out), ChecksumError);
+  }
+  EXPECT_EQ(plan->injected_corruptions(), 1u);
+  EXPECT_EQ(pfs.engine().corrupt_chunks(), 1u);
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(),
+                          [](std::byte b) { return b == std::byte{0xA5}; }))
+      << "corrupted bytes reached the caller's buffer";
+
+  f.read(300, out);  // the next read verifies clean again
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + 300));
 }
 
 // ------------------------------------------------------------ async reads --

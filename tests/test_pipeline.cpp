@@ -2,13 +2,20 @@
 // validation, the paper's throughput/latency equations, proportional node
 // assignment, and ThreadRunner integration — all three pipeline
 // organizations must produce exactly the detections of a sequential
-// reference implementation.
+// reference implementation — and the separate read task's credit window.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <string_view>
+#include <tuple>
 
 #include "common/error.hpp"
+#include "common/fault.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/metrics.hpp"
 #include "pipeline/partition.hpp"
 #include "pipeline/task_spec.hpp"
@@ -16,8 +23,10 @@
 #include "stap/detection_log.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
+#include "stap/chain.hpp"
 #include "stap/doppler.hpp"
 #include "stap/pulse_compress.hpp"
+#include "stap/scene.hpp"
 #include "stap/weights.hpp"
 
 namespace pstap::pipeline {
@@ -507,6 +516,69 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<int>{1, 1, 1, 3, 3, 1, 1},   // wide beamforming
                       std::vector<int>{1, 1, 1, 1, 1, 3, 3},   // wide tail
                       std::vector<int>{2, 2, 2, 2, 2, 2, 2})); // uniform 2x
+
+// ------------------------------------------------------- credit window --
+
+// The separate read task may run at most 2 CPIs ahead of each Doppler rank
+// it feeds. With both Doppler ranks slowed, an unbounded reader would ship
+// every CPI before Doppler starts on CPI 0. From the trace: when the reader
+// starts sending CPI k, every Doppler rank must already have begun
+// receiving all CPIs before k-1, so at most 2 CPIs (k-1 and k) are
+// unacknowledged. The detections must still be the sequential chain's.
+class CreditWindowTest : public ThreadRunnerTest {};
+
+TEST_F(CreditWindowTest, SlowDopplerBoundsSeparateReadAhead) {
+  constexpr int kCpis = 8;
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = PipelineSpec::separate_io(p, {1, 2, 1, 1, 1, 1, 1, 1});
+  RunOptions opt = options();
+  opt.cpis = kCpis;
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(13);
+  opt.fault_plan->arm_delay("pipeline.stage.Doppler filter", 1.0, 15e-3, 15e-3);
+
+  auto& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  recorder.enable();
+  const RunResult result = ThreadRunner(spec, opt).run();
+  recorder.disable();
+  ASSERT_TRUE(result.dropped_cpis.empty());
+
+  // (rank, phase, cpi) -> span start. Rank 0 reads; ranks 1-2 are Doppler.
+  std::map<std::tuple<int, std::string, int>, std::int64_t> start;
+  for (const obs::TraceEvent& e : recorder.snapshot()) {
+    if (e.kind != obs::TraceEvent::Kind::kComplete ||
+        std::string_view(e.cat) != "pipeline") {
+      continue;
+    }
+    start[{e.pid, e.name, static_cast<int>(e.cpi)}] = e.ts_ns;
+  }
+  recorder.clear();
+
+  for (int k = 0; k < kCpis; ++k) {
+    const auto sent = start.find({0, "send", k});
+    ASSERT_NE(sent, start.end()) << "reader send span of cpi " << k;
+    for (int dop = 1; dop <= 2; ++dop) {
+      int unacked = 0;
+      for (int j = 0; j <= k; ++j) {
+        const auto recv = start.find({dop, "receive", j});
+        ASSERT_NE(recv, start.end()) << "rank " << dop << " cpi " << j;
+        if (recv->second > sent->second) ++unacked;
+      }
+      EXPECT_LE(unacked, 2) << "cpi " << k << " sent to rank " << dop;
+    }
+  }
+
+  stap::SceneGenerator gen(p, opt.scene, opt.seed);
+  stap::StapChain chain(p);
+  for (int cpi = 0; cpi < kCpis; ++cpi) {
+    const auto want =
+        keys_of(chain.push(gen.generate(cpi % opt.round_robin_files)), cpi);
+    EXPECT_EQ(keys_of(result.detections, cpi), want) << "cpi " << cpi;
+    if (cpi > 0) {
+      EXPECT_FALSE(want.empty()) << "cpi " << cpi;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pstap::pipeline

@@ -307,6 +307,35 @@ TEST_F(SupervisorPipelineTest, EmbeddedDopplerDeathWithPrefetchInFlightRecovers)
   EXPECT_EQ(rec.io_failovers, 0u);
 }
 
+// Separate-I/O twin of the send-phase crash: the Doppler rank (rank 1) has
+// decoded CPI 1 and credited the read task for it, then dies. The respawn
+// replays CPI 1 from the ring and credits it again. The duplicate credit
+// must only loosen the read task's window, never strand it or reorder the
+// raw stream.
+TEST_F(SupervisorPipelineTest, SeparateDopplerDeathAtSendReplaysCreditsCleanly) {
+  const auto p = stap::RadarParams::test_small();
+  const auto spec =
+      pipeline::PipelineSpec::separate_io(p, {1, 1, 1, 1, 1, 1, 1, 1});
+
+  pipeline::ThreadRunner baseline(spec, options("cbase"));
+  const auto clean = baseline.run();
+
+  auto opt = supervised("csend");
+  opt.fault_plan = std::make_shared<fault::FaultPlan>(67);
+  opt.fault_plan->arm_crash("pipeline.rank.1.send", /*at_index=*/1);
+  pipeline::ThreadRunner runner(spec, opt);
+  const auto result = runner.run();
+
+  expect_same_detections(result, clean);
+  EXPECT_TRUE(result.dropped_cpis.empty());
+  const auto& rec = result.metrics.recovery;
+  EXPECT_EQ(rec.crashes_detected, 1u);
+  EXPECT_EQ(rec.ranks_respawned, 1u);
+  EXPECT_EQ(rec.io_failovers, 0u);
+  EXPECT_EQ(rec.promoted_reads, 0u);
+  EXPECT_GT(rec.replayed_messages, 0u);
+}
+
 // -------------------------------------------------------- data integrity --
 
 // Every injected read-side corruption must be caught by the CRC32C
