@@ -18,8 +18,22 @@
 namespace pstap::simd {
 
 // ------------------------------------------------------------- scalar ----
-// Reference semantics. Every vector backend mirrors these expression trees
-// exactly (modulo FMA contraction and reduction order where documented).
+// Reference semantics. The AVX2 backend mirrors these expression trees
+// exactly (modulo FMA contraction and reduction order where documented) and
+// hands its element-wise tails to them. Built at the baseline ISA, so GCC
+// -O3 still auto-vectorizes them with SSE2 on x86-64 hosts without AVX2.
+//
+// fp-contract is pinned off for the whole reference: no mul+add pair here
+// may fuse into an FMA, neither in a build whose baseline ISA has FMA nor
+// inlined into a target("avx2,fma") kernel as its tail (the mismatched
+// option keeps GCC from inlining them there at all). That is what keeps
+// norm_interleaved and the zmac pair bit-exact with the vector backend, so
+// CFAR comparisons and the QR weight solve see identical values, and an
+// AVX2 tail element computes the scalar expression tree exactly.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
 namespace scalar_impl {
 
 void butterfly(float* ar, float* ai, float* br, float* bi, float wr, float wi,
@@ -119,20 +133,6 @@ void interleave(float* dst, const float* re, const float* im, std::size_t n) {
   }
 }
 
-void cmac_conj(float* y, const float* x, float wr, float wi, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    y[2 * i] += wr * xr + wi * xi;
-    y[2 * i + 1] += wr * xi - wi * xr;
-  }
-}
-
-// fp-contract is pinned off: at -O3 GCC would otherwise fuse re*re + im*im
-// into an FMA here, silently breaking the bit-exactness contract between
-// this reference and the vector backends (which use separate mul and add).
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
 void norm_interleaved(double* power, const float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const float re = x[2 * i], im = x[2 * i + 1];
@@ -157,7 +157,7 @@ void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
                   std::size_t m, std::size_t k, const float* b, std::size_t ldb,
                   std::size_t n) {
   // i-outer / p-middle / l-inner: with conj applied at pack time this is the
-  // exact fl-sequence of the historical per-(beam, dof) cmac_conj beamform
+  // exact fl-sequence of the historical per-(beam, dof) conjugate-MAC beamform
   // loop (a - (-b) == a + b in IEEE arithmetic, so the packed-negation trees
   // match the conjugating trees bit-for-bit).
   for (std::size_t i = 0; i < m; ++i) {
@@ -221,12 +221,6 @@ void zherk_cf_lower(double* r, std::size_t ldr, const float* s, std::size_t lds,
   }
 }
 
-// fp-contract pinned off for the zmac pair: these are the FMA-free
-// bit-exact-across-backends kernels feeding the QR weight solve, and a
-// contracted mul+add in any one backend would break the contract.
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
 void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double xr = x[2 * i], xi = x[2 * i + 1];
@@ -235,9 +229,6 @@ void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
   }
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("fp-contract=off")))
-#endif
 void zmac_conj(double* y, const double* x, double cr, double ci,
                std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -248,18 +239,14 @@ void zmac_conj(double* y, const double* x, double cr, double ci,
 }
 
 constexpr Ops kOps = {
-    .butterfly = butterfly,
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
-    .cscale = cscale,
-    .cscale_to = cscale_to,
     .cscale_rows = cscale_rows,
     .cscale_rows_to = cscale_rows_to,
     .cmul_interleaved = cmul_interleaved,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
-    .cmac_conj = cmac_conj,
     .norm_interleaved = norm_interleaved,
     .cdot = cdot,
     .cgemm_planar = cgemm_planar,
@@ -272,374 +259,11 @@ constexpr Ops kOps = {
 
 }  // namespace scalar_impl
 
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
+
 #if PSTAP_SIMD_X86
-
-// --------------------------------------------------------------- sse2 ----
-// 4-wide __m128 kernels; x86-64 baseline ISA, no target attribute needed.
-namespace sse2_impl {
-
-void butterfly(float* ar, float* ai, float* br, float* bi, float wr, float wi,
-               std::size_t n) {
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwi = _mm_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    const __m128 vbr = _mm_loadu_ps(br + l);
-    const __m128 vbi = _mm_loadu_ps(bi + l);
-    const __m128 var = _mm_loadu_ps(ar + l);
-    const __m128 vai = _mm_loadu_ps(ai + l);
-    const __m128 tr = _mm_sub_ps(_mm_mul_ps(vwr, vbr), _mm_mul_ps(vwi, vbi));
-    const __m128 ti = _mm_add_ps(_mm_mul_ps(vwr, vbi), _mm_mul_ps(vwi, vbr));
-    _mm_storeu_ps(br + l, _mm_sub_ps(var, tr));
-    _mm_storeu_ps(bi + l, _mm_sub_ps(vai, ti));
-    _mm_storeu_ps(ar + l, _mm_add_ps(var, tr));
-    _mm_storeu_ps(ai + l, _mm_add_ps(vai, ti));
-  }
-  if (l < n) scalar_impl::butterfly(ar + l, ai + l, br + l, bi + l, wr, wi, n - l);
-}
-
-void butterfly_rows(float* ar, float* ai, float* br, float* bi, const float* w,
-                    std::size_t rows, std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    butterfly(ar + j * lanes, ai + j * lanes, br + j * lanes, bi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-void butterfly2_rows(float* re, float* im, const float* w1, const float* w2,
-                     std::size_t h, std::size_t lanes) {
-  for (std::size_t j = 0; j < h; ++j) {
-    float* r0 = re + j * lanes;
-    float* i0 = im + j * lanes;
-    float* r1 = r0 + h * lanes;
-    float* i1 = i0 + h * lanes;
-    float* r2 = r1 + h * lanes;
-    float* i2 = i1 + h * lanes;
-    float* r3 = r2 + h * lanes;
-    float* i3 = i2 + h * lanes;
-    butterfly(r0, i0, r1, i1, w1[2 * j], w1[2 * j + 1], lanes);
-    butterfly(r2, i2, r3, i3, w1[2 * j], w1[2 * j + 1], lanes);
-    butterfly(r0, i0, r2, i2, w2[2 * j], w2[2 * j + 1], lanes);
-    butterfly(r1, i1, r3, i3, w2[2 * (j + h)], w2[2 * (j + h) + 1], lanes);
-  }
-}
-
-void cscale(float* re, float* im, float wr, float wi, std::size_t n) {
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwi = _mm_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    const __m128 vr = _mm_loadu_ps(re + l);
-    const __m128 vi = _mm_loadu_ps(im + l);
-    _mm_storeu_ps(re + l, _mm_sub_ps(_mm_mul_ps(vr, vwr), _mm_mul_ps(vi, vwi)));
-    _mm_storeu_ps(im + l, _mm_add_ps(_mm_mul_ps(vr, vwi), _mm_mul_ps(vi, vwr)));
-  }
-  if (l < n) scalar_impl::cscale(re + l, im + l, wr, wi, n - l);
-}
-
-void cscale_rows(float* re, float* im, const float* w, std::size_t rows,
-                 std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    cscale(re + j * lanes, im + j * lanes, w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-void cscale_to(float* yr, float* yi, const float* xr, const float* xi, float wr,
-               float wi, std::size_t n) {
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwi = _mm_set1_ps(wi);
-  std::size_t l = 0;
-  for (; l + 4 <= n; l += 4) {
-    const __m128 vr = _mm_loadu_ps(xr + l);
-    const __m128 vi = _mm_loadu_ps(xi + l);
-    _mm_storeu_ps(yr + l, _mm_sub_ps(_mm_mul_ps(vr, vwr), _mm_mul_ps(vi, vwi)));
-    _mm_storeu_ps(yi + l, _mm_add_ps(_mm_mul_ps(vr, vwi), _mm_mul_ps(vi, vwr)));
-  }
-  if (l < n) scalar_impl::cscale_to(yr + l, yi + l, xr + l, xi + l, wr, wi, n - l);
-}
-
-void cscale_rows_to(float* yr, float* yi, const float* xr, const float* xi,
-                    const float* w, std::size_t rows, std::size_t lanes) {
-  for (std::size_t j = 0; j < rows; ++j) {
-    cscale_to(yr + j * lanes, yi + j * lanes, xr + j * lanes, xi + j * lanes,
-              w[2 * j], w[2 * j + 1], lanes);
-  }
-}
-
-void cmul_interleaved(float* a, const float* b, std::size_t n) {
-  // Per pair [ar, ai] * [br, bi]: t1 = a * [br, br]; t2 = swap(a) * [bi, bi];
-  // result = t1 + [-t2_even, +t2_odd].
-  const __m128 negmask = _mm_castsi128_ps(_mm_set_epi32(0, 0x80000000, 0, 0x80000000));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 va = _mm_loadu_ps(a + 2 * i);
-    const __m128 vb = _mm_loadu_ps(b + 2 * i);
-    const __m128 bre = _mm_shuffle_ps(vb, vb, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 bim = _mm_shuffle_ps(vb, vb, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 asw = _mm_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t2 = _mm_xor_ps(_mm_mul_ps(asw, bim), negmask);
-    _mm_storeu_ps(a + 2 * i, _mm_add_ps(_mm_mul_ps(va, bre), t2));
-  }
-  if (i < n) scalar_impl::cmul_interleaved(a + 2 * i, b + 2 * i, n - i);
-}
-
-void scale(float* x, float s, std::size_t n) {
-  const __m128 vs = _mm_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(x + i, _mm_mul_ps(_mm_loadu_ps(x + i), vs));
-  }
-  if (i < n) scalar_impl::scale(x + i, s, n - i);
-}
-
-void deinterleave_scale(float* re, float* im, const float* src, float w,
-                        std::size_t n) {
-  const __m128 vw = _mm_set1_ps(w);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v0 = _mm_loadu_ps(src + 2 * i);      // r0 i0 r1 i1
-    const __m128 v1 = _mm_loadu_ps(src + 2 * i + 4);  // r2 i2 r3 i3
-    const __m128 vr = _mm_shuffle_ps(v0, v1, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128 vi = _mm_shuffle_ps(v0, v1, _MM_SHUFFLE(3, 1, 3, 1));
-    _mm_storeu_ps(re + i, _mm_mul_ps(vw, vr));
-    _mm_storeu_ps(im + i, _mm_mul_ps(vw, vi));
-  }
-  if (i < n) scalar_impl::deinterleave_scale(re + i, im + i, src + 2 * i, w, n - i);
-}
-
-void interleave(float* dst, const float* re, const float* im, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 vr = _mm_loadu_ps(re + i);
-    const __m128 vi = _mm_loadu_ps(im + i);
-    _mm_storeu_ps(dst + 2 * i, _mm_unpacklo_ps(vr, vi));
-    _mm_storeu_ps(dst + 2 * i + 4, _mm_unpackhi_ps(vr, vi));
-  }
-  if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
-}
-
-void cmac_conj(float* y, const float* x, float wr, float wi, std::size_t n) {
-  // y += wr * x + swap(x) * [wi, -wi, ...]
-  const __m128 vwr = _mm_set1_ps(wr);
-  const __m128 vwp = _mm_set_ps(-wi, wi, -wi, wi);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 vx = _mm_loadu_ps(x + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 xsw = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t = _mm_add_ps(_mm_mul_ps(vwr, vx), _mm_mul_ps(vwp, xsw));
-    _mm_storeu_ps(y + 2 * i, _mm_add_ps(vy, t));
-  }
-  if (i < n) scalar_impl::cmac_conj(y + 2 * i, x + 2 * i, wr, wi, n - i);
-}
-
-void norm_interleaved(double* power, const float* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 v = _mm_loadu_ps(x + 2 * i);
-    const __m128 sq = _mm_mul_ps(v, v);
-    const __m128 sw = _mm_shuffle_ps(sq, sq, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 sum = _mm_add_ps(sq, sw);  // norms in lanes 0 and 2
-    const __m128 packed = _mm_shuffle_ps(sum, sum, _MM_SHUFFLE(3, 1, 2, 0));
-    _mm_storeu_pd(power + i, _mm_cvtps_pd(packed));
-  }
-  if (i < n) scalar_impl::norm_interleaved(power + i, x + 2 * i, n - i);
-}
-
-void cdot(const float* x, const float* y, std::size_t n, float* out_re,
-          float* out_im) {
-  // acc (interleaved) += [xr*yr + xi*yi, xr*yi - xi*yr]
-  const __m128 negmask = _mm_castsi128_ps(_mm_set_epi32(0x80000000, 0, 0x80000000, 0));
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 vx = _mm_loadu_ps(x + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 xre = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 xim = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 ysw = _mm_shuffle_ps(vy, vy, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t2 = _mm_xor_ps(_mm_mul_ps(xim, ysw), negmask);
-    acc = _mm_add_ps(acc, _mm_add_ps(_mm_mul_ps(xre, vy), t2));
-  }
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, acc);
-  float acc_r = lanes[0] + lanes[2];
-  float acc_i = lanes[1] + lanes[3];
-  for (; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr + xi * yi;
-    acc_i += xr * yi - xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
-void cgemm_planar(float* c, std::size_t ldc, const float* ar, const float* ai,
-                  std::size_t m, std::size_t k, const float* b, std::size_t ldb,
-                  std::size_t n) {
-  // y += wr * x + swap(x) * [-wi, +wi, ...] — the plain (non-conjugating)
-  // counterpart of cmac_conj; conj is the caller's pack-time negation.
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + 2 * i * ldc;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float wr = ar[i * k + p];
-      const float wi = ai[i * k + p];
-      const float* brow = b + 2 * p * ldb;
-      const __m128 vwr = _mm_set1_ps(wr);
-      const __m128 vwp = _mm_set_ps(wi, -wi, wi, -wi);
-      std::size_t l = 0;
-      for (; l + 2 <= n; l += 2) {
-        const __m128 vx = _mm_loadu_ps(brow + 2 * l);
-        const __m128 vy = _mm_loadu_ps(crow + 2 * l);
-        const __m128 xsw = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 3, 0, 1));
-        const __m128 t = _mm_add_ps(_mm_mul_ps(vwr, vx), _mm_mul_ps(vwp, xsw));
-        _mm_storeu_ps(crow + 2 * l, _mm_add_ps(vy, t));
-      }
-      for (; l < n; ++l) {
-        const float xr = brow[2 * l], xi = brow[2 * l + 1];
-        crow[2 * l] += wr * xr - wi * xi;
-        crow[2 * l + 1] += wr * xi + wi * xr;
-      }
-    }
-  }
-}
-
-void cdotu(const float* x, const float* y, std::size_t n, float* out_re,
-           float* out_im) {
-  // acc (interleaved) += [xr*yr - xi*yi, xr*yi + xi*yr]
-  const __m128 negmask = _mm_castsi128_ps(_mm_set_epi32(0, 0x80000000, 0, 0x80000000));
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 vx = _mm_loadu_ps(x + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 xre = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(2, 2, 0, 0));
-    const __m128 xim = _mm_shuffle_ps(vx, vx, _MM_SHUFFLE(3, 3, 1, 1));
-    const __m128 ysw = _mm_shuffle_ps(vy, vy, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t2 = _mm_xor_ps(_mm_mul_ps(xim, ysw), negmask);
-    acc = _mm_add_ps(acc, _mm_add_ps(_mm_mul_ps(xre, vy), t2));
-  }
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, acc);
-  float acc_r = lanes[0] + lanes[2];
-  float acc_i = lanes[1] + lanes[3];
-  for (; i < n; ++i) {
-    const float xr = x[2 * i], xi = x[2 * i + 1];
-    const float yr = y[2 * i], yi = y[2 * i + 1];
-    acc_r += xr * yr - xi * yi;
-    acc_i += xr * yi + xi * yr;
-  }
-  *out_re = acc_r;
-  *out_im = acc_i;
-}
-
-void cmac_conj_arr(float* y, const float* a, float xr, float xi,
-                   std::size_t n) {
-  // y += a * [xr, -xr, ...] + swap(a) * xi
-  const __m128 vc1 = _mm_set_ps(-xr, xr, -xr, xr);
-  const __m128 vc2 = _mm_set1_ps(xi);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128 va = _mm_loadu_ps(a + 2 * i);
-    const __m128 vy = _mm_loadu_ps(y + 2 * i);
-    const __m128 asw = _mm_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-    const __m128 t = _mm_add_ps(_mm_mul_ps(va, vc1), _mm_mul_ps(asw, vc2));
-    _mm_storeu_ps(y + 2 * i, _mm_add_ps(vy, t));
-  }
-  for (; i < n; ++i) {
-    const float ar = a[2 * i], ai = a[2 * i + 1];
-    y[2 * i] += ar * xr + ai * xi;
-    y[2 * i + 1] += ar * xi - ai * xr;
-  }
-}
-
-void zherk_cf_lower(double* r, std::size_t ldr, const float* s, std::size_t lds,
-                    std::size_t dof, std::size_t t, double alpha) {
-  // One complex per __m128d: accumulate conj(s_i) . s_j in [re, im] lanes,
-  // conjugate and scale by alpha at the end (conj(sum conj(a) b) ==
-  // sum a conj(b)). Reduction order differs from scalar — tolerance kernel.
-  const __m128d neg_im = _mm_castsi128_pd(
-      _mm_set_epi64x(static_cast<long long>(0x8000000000000000ull), 0));
-  for (std::size_t i = 0; i < dof; ++i) {
-    const float* si = s + 2 * i * lds;
-    for (std::size_t j = 0; j <= i; ++j) {
-      const float* sj = s + 2 * j * lds;
-      __m128d acc = _mm_setzero_pd();
-      std::size_t g = 0;
-      for (; g + 1 <= t; ++g) {
-        const __m128d va = _mm_cvtps_pd(_mm_castsi128_ps(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(si + 2 * g))));
-        const __m128d vb = _mm_cvtps_pd(_mm_castsi128_ps(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(sj + 2 * g))));
-        const __m128d are = _mm_unpacklo_pd(va, va);
-        const __m128d aim = _mm_unpackhi_pd(va, va);
-        const __m128d bsw = _mm_shuffle_pd(vb, vb, 0x1);
-        // t1 = [ar*br, ar*bi]; t2 = [ai*bi, ai*br];
-        // conj-dot term = [ar*br + ai*bi, ar*bi - ai*br] = -t2_odd + ...
-        const __m128d t1 = _mm_mul_pd(are, vb);
-        const __m128d t2 = _mm_xor_pd(_mm_mul_pd(aim, bsw), neg_im);
-        acc = _mm_add_pd(acc, _mm_add_pd(t1, t2));
-      }
-      alignas(16) double lanes[2];
-      _mm_store_pd(lanes, acc);
-      r[2 * (i * ldr + j)] += alpha * lanes[0];
-      r[2 * (i * ldr + j) + 1] += alpha * (-lanes[1]);
-    }
-  }
-}
-
-void zmac(double* y, const double* x, double cr, double ci, std::size_t n) {
-  // One complex per __m128d; per-element trees identical to scalar (the
-  // lane negation of ci is exact), so this stays bit-exact with scalar.
-  const __m128d vcr = _mm_set1_pd(cr);
-  const __m128d vcp = _mm_set_pd(ci, -ci);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d vx = _mm_loadu_pd(x + 2 * i);
-    const __m128d vy = _mm_loadu_pd(y + 2 * i);
-    const __m128d xsw = _mm_shuffle_pd(vx, vx, 0x1);
-    const __m128d t = _mm_add_pd(_mm_mul_pd(vcr, vx), _mm_mul_pd(vcp, xsw));
-    _mm_storeu_pd(y + 2 * i, _mm_add_pd(vy, t));
-  }
-}
-
-void zmac_conj(double* y, const double* x, double cr, double ci,
-               std::size_t n) {
-  const __m128d vcr = _mm_set1_pd(cr);
-  const __m128d vcp = _mm_set_pd(-ci, ci);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d vx = _mm_loadu_pd(x + 2 * i);
-    const __m128d vy = _mm_loadu_pd(y + 2 * i);
-    const __m128d xsw = _mm_shuffle_pd(vx, vx, 0x1);
-    const __m128d t = _mm_add_pd(_mm_mul_pd(vcr, vx), _mm_mul_pd(vcp, xsw));
-    _mm_storeu_pd(y + 2 * i, _mm_add_pd(vy, t));
-  }
-}
-
-constexpr Ops kOps = {
-    .butterfly = butterfly,
-    .butterfly_rows = butterfly_rows,
-    .butterfly2_rows = butterfly2_rows,
-    .cscale = cscale,
-    .cscale_to = cscale_to,
-    .cscale_rows = cscale_rows,
-    .cscale_rows_to = cscale_rows_to,
-    .cmul_interleaved = cmul_interleaved,
-    .scale = scale,
-    .deinterleave_scale = deinterleave_scale,
-    .interleave = interleave,
-    .cmac_conj = cmac_conj,
-    .norm_interleaved = norm_interleaved,
-    .cdot = cdot,
-    .cgemm_planar = cgemm_planar,
-    .cdotu = cdotu,
-    .cmac_conj_arr = cmac_conj_arr,
-    .zherk_cf_lower = zherk_cf_lower,
-    .zmac = zmac,
-    .zmac_conj = zmac_conj,
-};
-
-}  // namespace sse2_impl
 
 // --------------------------------------------------------------- avx2 ----
 // 8-wide __m256 kernels with FMA. Compiled via per-function target
@@ -666,7 +290,9 @@ PSTAP_AVX2 void butterfly(float* ar, float* ai, float* br, float* bi, float wr,
     _mm256_storeu_ps(ar + l, _mm256_add_ps(var, tr));
     _mm256_storeu_ps(ai + l, _mm256_add_ps(vai, ti));
   }
-  if (l < n) sse2_impl::butterfly(ar + l, ai + l, br + l, bi + l, wr, wi, n - l);
+  if (l < n) {
+    scalar_impl::butterfly(ar + l, ai + l, br + l, bi + l, wr, wi, n - l);
+  }
 }
 
 // Row-batched butterflies with the steady-state lane width (kBatchLanes ==
@@ -766,14 +392,14 @@ PSTAP_AVX2 void butterfly2_rows(float* re, float* im, const float* w1,
     }
     if (l < lanes) {
       const std::size_t rem = lanes - l;
-      sse2_impl::butterfly(r0 + l, i0 + l, r1 + l, i1 + l, w1[2 * j],
-                           w1[2 * j + 1], rem);
-      sse2_impl::butterfly(r2 + l, i2 + l, r3 + l, i3 + l, w1[2 * j],
-                           w1[2 * j + 1], rem);
-      sse2_impl::butterfly(r0 + l, i0 + l, r2 + l, i2 + l, w2[2 * j],
-                           w2[2 * j + 1], rem);
-      sse2_impl::butterfly(r1 + l, i1 + l, r3 + l, i3 + l, w2[2 * (j + h)],
-                           w2[2 * (j + h) + 1], rem);
+      scalar_impl::butterfly(r0 + l, i0 + l, r1 + l, i1 + l, w1[2 * j],
+                             w1[2 * j + 1], rem);
+      scalar_impl::butterfly(r2 + l, i2 + l, r3 + l, i3 + l, w1[2 * j],
+                             w1[2 * j + 1], rem);
+      scalar_impl::butterfly(r0 + l, i0 + l, r2 + l, i2 + l, w2[2 * j],
+                             w2[2 * j + 1], rem);
+      scalar_impl::butterfly(r1 + l, i1 + l, r3 + l, i3 + l, w2[2 * (j + h)],
+                             w2[2 * (j + h) + 1], rem);
     }
   }
 }
@@ -788,7 +414,7 @@ PSTAP_AVX2 void cscale(float* re, float* im, float wr, float wi, std::size_t n) 
     _mm256_storeu_ps(re + l, _mm256_fmsub_ps(vr, vwr, _mm256_mul_ps(vi, vwi)));
     _mm256_storeu_ps(im + l, _mm256_fmadd_ps(vr, vwi, _mm256_mul_ps(vi, vwr)));
   }
-  if (l < n) sse2_impl::cscale(re + l, im + l, wr, wi, n - l);
+  if (l < n) scalar_impl::cscale(re + l, im + l, wr, wi, n - l);
 }
 
 PSTAP_AVX2 void cscale_to(float* yr, float* yi, const float* xr, const float* xi,
@@ -802,7 +428,9 @@ PSTAP_AVX2 void cscale_to(float* yr, float* yi, const float* xr, const float* xi
     _mm256_storeu_ps(yr + l, _mm256_fmsub_ps(vr, vwr, _mm256_mul_ps(vi, vwi)));
     _mm256_storeu_ps(yi + l, _mm256_fmadd_ps(vr, vwi, _mm256_mul_ps(vi, vwr)));
   }
-  if (l < n) sse2_impl::cscale_to(yr + l, yi + l, xr + l, xi + l, wr, wi, n - l);
+  if (l < n) {
+    scalar_impl::cscale_to(yr + l, yi + l, xr + l, xi + l, wr, wi, n - l);
+  }
 }
 
 PSTAP_AVX2 void cscale_rows(float* re, float* im, const float* w,
@@ -867,7 +495,7 @@ PSTAP_AVX2 void cmul_interleaved(float* a, const float* b, std::size_t n) {
     _mm256_storeu_ps(a + 2 * i,
                      _mm256_fmaddsub_ps(va, bre, _mm256_mul_ps(asw, bim)));
   }
-  if (i < n) sse2_impl::cmul_interleaved(a + 2 * i, b + 2 * i, n - i);
+  if (i < n) scalar_impl::cmul_interleaved(a + 2 * i, b + 2 * i, n - i);
 }
 
 PSTAP_AVX2 void scale(float* x, float s, std::size_t n) {
@@ -876,7 +504,7 @@ PSTAP_AVX2 void scale(float* x, float s, std::size_t n) {
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
   }
-  if (i < n) sse2_impl::scale(x + i, s, n - i);
+  if (i < n) scalar_impl::scale(x + i, s, n - i);
 }
 
 PSTAP_AVX2 void deinterleave_scale(float* re, float* im, const float* src,
@@ -894,7 +522,9 @@ PSTAP_AVX2 void deinterleave_scale(float* re, float* im, const float* src,
     _mm256_storeu_ps(re + i, _mm256_mul_ps(vw, vr));
     _mm256_storeu_ps(im + i, _mm256_mul_ps(vw, vi));
   }
-  if (i < n) sse2_impl::deinterleave_scale(re + i, im + i, src + 2 * i, w, n - i);
+  if (i < n) {
+    scalar_impl::deinterleave_scale(re + i, im + i, src + 2 * i, w, n - i);
+  }
 }
 
 PSTAP_AVX2 void interleave(float* dst, const float* re, const float* im,
@@ -908,22 +538,7 @@ PSTAP_AVX2 void interleave(float* dst, const float* re, const float* im,
     _mm256_storeu_ps(dst + 2 * i, _mm256_permute2f128_ps(lo, hi, 0x20));
     _mm256_storeu_ps(dst + 2 * i + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
   }
-  if (i < n) sse2_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
-}
-
-PSTAP_AVX2 void cmac_conj(float* y, const float* x, float wr, float wi,
-                          std::size_t n) {
-  const __m256 vwr = _mm256_set1_ps(wr);
-  const __m256 vwp = _mm256_setr_ps(wi, -wi, wi, -wi, wi, -wi, wi, -wi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 vx = _mm256_loadu_ps(x + 2 * i);
-    const __m256 vy = _mm256_loadu_ps(y + 2 * i);
-    const __m256 xsw = _mm256_permute_ps(vx, 0xB1);
-    const __m256 t = _mm256_fmadd_ps(vwr, vx, _mm256_mul_ps(vwp, xsw));
-    _mm256_storeu_ps(y + 2 * i, _mm256_add_ps(vy, t));
-  }
-  if (i < n) sse2_impl::cmac_conj(y + 2 * i, x + 2 * i, wr, wi, n - i);
+  if (i < n) scalar_impl::interleave(dst + 2 * i, re + i, im + i, n - i);
 }
 
 PSTAP_AVX2 void norm_interleaved(double* power, const float* x, std::size_t n) {
@@ -937,7 +552,7 @@ PSTAP_AVX2 void norm_interleaved(double* power, const float* x, std::size_t n) {
     const __m256 packed = _mm256_permutevar8x32_ps(sum, idx);
     _mm256_storeu_pd(power + i, _mm256_cvtps_pd(_mm256_castps256_ps128(packed)));
   }
-  if (i < n) sse2_impl::norm_interleaved(power + i, x + 2 * i, n - i);
+  if (i < n) scalar_impl::norm_interleaved(power + i, x + 2 * i, n - i);
 }
 
 PSTAP_AVX2 void cdot(const float* x, const float* y, std::size_t n,
@@ -1153,7 +768,7 @@ PSTAP_AVX2 void cmac_conj_arr(float* y, const float* a, float xr, float xi,
     const __m256 t = _mm256_fmadd_ps(va, vc1, _mm256_mul_ps(asw, vc2));
     _mm256_storeu_ps(y + 2 * i, _mm256_add_ps(vy, t));
   }
-  if (i < n) sse2_impl::cmac_conj_arr(y + 2 * i, a + 2 * i, xr, xi, n - i);
+  if (i < n) scalar_impl::cmac_conj_arr(y + 2 * i, a + 2 * i, xr, xi, n - i);
 }
 
 PSTAP_AVX2 void zherk_cf_lower(double* r, std::size_t ldr, const float* s,
@@ -1251,7 +866,7 @@ PSTAP_AVX2_NOFMA void zmac(double* y, const double* x, double cr, double ci,
         _mm256_add_pd(_mm256_mul_pd(vcr, vx), _mm256_mul_pd(vcp, xsw));
     _mm256_storeu_pd(y + 2 * i, _mm256_add_pd(vy, t));
   }
-  if (i < n) sse2_impl::zmac(y + 2 * i, x + 2 * i, cr, ci, n - i);
+  if (i < n) scalar_impl::zmac(y + 2 * i, x + 2 * i, cr, ci, n - i);
 }
 
 PSTAP_AVX2_NOFMA void zmac_conj(double* y, const double* x, double cr,
@@ -1267,24 +882,20 @@ PSTAP_AVX2_NOFMA void zmac_conj(double* y, const double* x, double cr,
         _mm256_add_pd(_mm256_mul_pd(vcr, vx), _mm256_mul_pd(vcp, xsw));
     _mm256_storeu_pd(y + 2 * i, _mm256_add_pd(vy, t));
   }
-  if (i < n) sse2_impl::zmac_conj(y + 2 * i, x + 2 * i, cr, ci, n - i);
+  if (i < n) scalar_impl::zmac_conj(y + 2 * i, x + 2 * i, cr, ci, n - i);
 }
 
 #undef PSTAP_AVX2_NOFMA
 
 constexpr Ops kOps = {
-    .butterfly = butterfly,
     .butterfly_rows = butterfly_rows,
     .butterfly2_rows = butterfly2_rows,
-    .cscale = cscale,
-    .cscale_to = cscale_to,
     .cscale_rows = cscale_rows,
     .cscale_rows_to = cscale_rows_to,
     .cmul_interleaved = cmul_interleaved,
     .scale = scale,
     .deinterleave_scale = deinterleave_scale,
     .interleave = interleave,
-    .cmac_conj = cmac_conj,
     .norm_interleaved = norm_interleaved,
     .cdot = cdot,
     .cgemm_planar = cgemm_planar,
@@ -1305,14 +916,7 @@ namespace {
 
 const Ops* table_for(Backend b) noexcept {
 #if PSTAP_SIMD_X86
-  switch (b) {
-    case Backend::kAvx2:
-      return &avx2_impl::kOps;
-    case Backend::kSse2:
-      return &sse2_impl::kOps;
-    case Backend::kScalar:
-      return &scalar_impl::kOps;
-  }
+  if (b == Backend::kAvx2) return &avx2_impl::kOps;
 #else
   (void)b;
 #endif
@@ -1339,15 +943,13 @@ Backend resolve_from_env() noexcept {
     bool known = true;
     if (std::strcmp(env, "scalar") == 0) {
       requested = Backend::kScalar;
-    } else if (std::strcmp(env, "sse2") == 0) {
-      requested = Backend::kSse2;
     } else if (std::strcmp(env, "avx2") == 0) {
       requested = Backend::kAvx2;
     } else {
       known = false;
       std::fprintf(stderr,
                    "pstap: PSTAP_SIMD='%s' not recognized "
-                   "(scalar|sse2|avx2|auto); using %s\n",
+                   "(scalar|avx2|auto); using %s\n",
                    env, backend_name(chosen));
     }
     if (known) {
@@ -1388,8 +990,6 @@ const char* backend_name(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSse2:
-      return "sse2";
     case Backend::kAvx2:
       return "avx2";
   }
@@ -1401,7 +1001,6 @@ Backend detect_best() noexcept {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Backend::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2")) return Backend::kSse2;
 #endif
   return Backend::kScalar;
 }

@@ -8,19 +8,19 @@
 //   * kScalar — plain C++ loops (the reference semantics; still subject to
 //     the compiler's baseline auto-vectorization, e.g. 4-wide SSE2 on
 //     x86-64);
-//   * kSse2   — explicit 4-wide __m128 kernels;
 //   * kAvx2   — explicit 8-wide __m256 kernels with FMA.
 //
 // Selection: best supported backend by default, overridable with the
-// PSTAP_SIMD environment variable (scalar|sse2|avx2|auto). An unsupported
-// request degrades to the best available backend with a one-time warning.
+// PSTAP_SIMD environment variable (scalar|avx2|auto). An unsupported
+// request degrades to the best available backend with a one-time warning;
+// an unrecognized value warns and uses auto.
 // The applied backend is recorded in the obs registry as gauge
-// "simd.backend" (0 = scalar, 1 = sse2, 2 = avx2) so benches and CI can
-// assert the dispatch actually engaged.
+// "simd.backend" (0 = scalar, 2 = avx2) so benches and CI can assert the
+// dispatch actually engaged.
 //
 // Numerical contract: every backend computes the same per-element
 // expression trees as the scalar reference. The AVX2 tier contracts
-// mul+add pairs into FMAs inside `butterfly`, `cscale*`, `cmul_*`, `cmac_conj`,
+// mul+add pairs into FMAs inside `butterfly*`, `cscale*`, `cmul_*`,
 // `cdot`, and the GEMM family (`cgemm_planar`, `cdotu`, `cmac_conj_arr`,
 // `zherk_cf_lower`), so those results may differ from scalar in the last
 // bits (tests compare within tolerance). `norm_interleaved`, `scale`,
@@ -39,11 +39,10 @@ namespace pstap::simd {
 
 enum class Backend : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 2,  // also the "simd.backend" gauge value; keep it stable
 };
 
-/// Human-readable backend name ("scalar", "sse2", "avx2").
+/// Human-readable backend name ("scalar", "avx2").
 const char* backend_name(Backend b) noexcept;
 
 /// Best backend this CPU supports (ignores PSTAP_SIMD).
@@ -70,14 +69,11 @@ bool init_thread() noexcept;
 /// unaligned (the kernels use unaligned loads); 64-byte-aligned inputs —
 /// see AlignedVector in common/aligned_buffer.hpp — avoid split-line loads.
 struct Ops {
-  /// Radix-2 butterfly row over split re/im planes:
-  /// t = w * b; b = a - t; a = a + t  (complex, w = wr + i*wi broadcast).
-  void (*butterfly)(float* ar, float* ai, float* br, float* bi, float wr,
-                    float wi, std::size_t n);
-  /// Row-batched butterflies: rows j in [0, rows) of `lanes` lanes each,
-  /// a-row j at ar/ai + j*lanes, b-row j at br/bi + j*lanes, twiddle j
-  /// broadcast from the interleaved pair w[2j], w[2j+1]. One dispatch per
-  /// whole stage block instead of per twiddle — the FFT's dominant call.
+  /// Row-batched radix-2 butterflies over split re/im planes: rows j in
+  /// [0, rows) of `lanes` lanes each, a-row j at ar/ai + j*lanes, b-row j at
+  /// br/bi + j*lanes, twiddle w = w[2j] + i*w[2j+1] broadcast per row:
+  /// t = w * b; b = a - t; a = a + t. One dispatch per whole stage block
+  /// instead of per twiddle — the FFT's dominant call.
   void (*butterfly_rows)(float* ar, float* ai, float* br, float* bi,
                          const float* w, std::size_t rows, std::size_t lanes);
   /// Two fused radix-2 stages (h then 2h) over one DIT block of 4h rows
@@ -86,21 +82,18 @@ struct Ops {
   /// twiddle w1[2j], w1[2j+1], then (j, j+2h) with w2[2j], w2[2j+1] and
   /// (j+h, j+3h) with w2[2(j+h)], w2[2(j+h)+1]. Rows are loaded and stored
   /// ONCE for both stages — half the plane traffic of two butterfly_rows
-  /// passes. Same per-element expression trees as butterfly, so results
+  /// passes. Same per-element expression trees as butterfly_rows, so results
   /// match two separate stage passes bit-for-bit per backend.
   void (*butterfly2_rows)(float* re, float* im, const float* w1,
                           const float* w2, std::size_t h, std::size_t lanes);
-  /// In-place complex scale of split planes by the scalar w = wr + i*wi.
-  void (*cscale)(float* re, float* im, float wr, float wi, std::size_t n);
-  /// Out-of-place complex scale: (yr, yi) = (xr, xi) * (wr + i*wi).
-  void (*cscale_to)(float* yr, float* yi, const float* xr, const float* xi,
-                    float wr, float wi, std::size_t n);
-  /// Row-batched in-place complex scale: row j (lanes wide, at offset
-  /// j*lanes) scaled by the interleaved pair w[2j], w[2j+1]. Used for the
-  /// fused matched-filter spectral multiply and Bluestein kernel rows.
+  /// Row-batched in-place complex scale of split planes: row j (lanes wide,
+  /// at offset j*lanes) scaled by the interleaved pair w[2j], w[2j+1]. Used
+  /// for the fused matched-filter spectral multiply and Bluestein kernel
+  /// rows.
   void (*cscale_rows)(float* re, float* im, const float* w, std::size_t rows,
                       std::size_t lanes);
-  /// Row-batched out-of-place complex scale (Bluestein chirp pre/post).
+  /// Row-batched out-of-place complex scale, (yr, yi) = (xr, xi) * w per
+  /// row as in cscale_rows (Bluestein chirp pre/post).
   void (*cscale_rows_to)(float* yr, float* yi, const float* xr, const float* xi,
                          const float* w, std::size_t rows, std::size_t lanes);
   /// Interleaved complex elementwise multiply: a[i] *= b[i] (n complex).
@@ -113,10 +106,6 @@ struct Ops {
   /// Interleave split planes: dst[2i] = re[i], dst[2i+1] = im[i].
   void (*interleave)(float* dst, const float* re, const float* im,
                      std::size_t n);
-  /// Beamform MAC: y[i] += conj(w) * x[i] over interleaved complex arrays
-  /// (n complex elements, w = wr + i*wi broadcast).
-  void (*cmac_conj)(float* y, const float* x, float wr, float wi,
-                    std::size_t n);
   /// CFAR power: power[i] = re_i^2 + im_i^2 of interleaved complex input,
   /// widened to double. FMA-free: bit-exact across backends.
   void (*norm_interleaved)(double* power, const float* x, std::size_t n);

@@ -3,7 +3,7 @@
 // Every vector backend must reproduce the scalar reference: bit-exactly for
 // the FMA-free primitives (scale, deinterleave_scale, interleave,
 // norm_interleaved) and within tolerance for the FMA-contracted ones
-// (butterfly*, cscale*, cmul_interleaved, cmac_conj, cdot). On top of the
+// (butterfly*, cscale*, cmul_interleaved, cdot). On top of the
 // primitives, the whole STAP chain is checked end to end: FFT batch paths
 // (including Bluestein sizes and odd lane counts) and — the contract that
 // matters operationally — CFAR detections identical across backends.
@@ -34,19 +34,15 @@ using simd::Backend;
 
 std::vector<Backend> supported_backends() {
   std::vector<Backend> out{Backend::kScalar};
-  const Backend best = simd::detect_best();
-  if (static_cast<int>(best) >= static_cast<int>(Backend::kSse2)) {
-    out.push_back(Backend::kSse2);
-  }
-  if (static_cast<int>(best) >= static_cast<int>(Backend::kAvx2)) {
-    out.push_back(Backend::kAvx2);
-  }
+  if (simd::detect_best() == Backend::kAvx2) out.push_back(Backend::kAvx2);
   return out;
 }
 
-// Restores the default backend even if a test fails mid-way.
+// Restores the backend that was active when the guard was made (PSTAP_SIMD
+// included) even if a test fails mid-way.
 struct BackendGuard {
-  ~BackendGuard() { simd::force_backend(simd::detect_best()); }
+  const Backend saved = simd::active();
+  ~BackendGuard() { simd::force_backend(saved); }
 };
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
@@ -66,12 +62,11 @@ stap::BeamArray clone(const stap::BeamArray& src) {
 
 TEST(SimdDispatch, BackendNamesAndDetection) {
   EXPECT_STREQ(simd::backend_name(Backend::kScalar), "scalar");
-  EXPECT_STREQ(simd::backend_name(Backend::kSse2), "sse2");
   EXPECT_STREQ(simd::backend_name(Backend::kAvx2), "avx2");
-#if defined(__x86_64__)
-  // x86-64 baseline guarantees SSE2.
-  EXPECT_GE(static_cast<int>(simd::detect_best()),
-            static_cast<int>(Backend::kSse2));
+#if defined(__x86_64__) || defined(__i386__)
+  const bool avx2_fma =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  EXPECT_EQ(simd::detect_best(), avx2_fma ? Backend::kAvx2 : Backend::kScalar);
 #endif
 }
 
@@ -86,6 +81,16 @@ TEST(SimdDispatch, ForceBackendClampsToSupported) {
   const Backend applied = simd::force_backend(Backend::kAvx2);
   EXPECT_LE(static_cast<int>(applied), static_cast<int>(simd::detect_best()));
   EXPECT_EQ(simd::force_backend(Backend::kScalar), Backend::kScalar);
+}
+
+TEST(SimdDispatch, BackendGuardRestoresTheBackendItFound) {
+  BackendGuard outer;
+  simd::force_backend(Backend::kScalar);
+  {
+    BackendGuard inner;
+    simd::force_backend(simd::detect_best());
+  }
+  EXPECT_EQ(simd::active(), Backend::kScalar);
 }
 
 TEST(SimdDispatch, OpsByBackendReturnsDistinctTablesWhenSupported) {
@@ -109,9 +114,11 @@ TEST(SimdPrimitives, ButterflyMatchesScalar) {
       auto ar0 = random_floats(n, 1), ai0 = random_floats(n, 2);
       auto br0 = random_floats(n, 3), bi0 = random_floats(n, 4);
       auto ar1 = ar0, ai1 = ai0, br1 = br0, bi1 = bi0;
-      const float wr = 0.6f, wi = -0.8f;
-      ref.butterfly(ar0.data(), ai0.data(), br0.data(), bi0.data(), wr, wi, n);
-      vec.butterfly(ar1.data(), ai1.data(), br1.data(), bi1.data(), wr, wi, n);
+      const float w[2] = {0.6f, -0.8f};
+      ref.butterfly_rows(ar0.data(), ai0.data(), br0.data(), bi0.data(), w, 1,
+                         n);
+      vec.butterfly_rows(ar1.data(), ai1.data(), br1.data(), bi1.data(), w, 1,
+                         n);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(ar0[i], ar1[i], 1e-5f) << simd::backend_name(b) << " n=" << n;
         EXPECT_NEAR(ai0[i], ai1[i], 1e-5f);
@@ -135,9 +142,9 @@ TEST(SimdPrimitives, ButterflyRowsMatchesPerRowButterfly) {
       auto w = random_floats(2 * rows, 15);
       auto ar1 = ar0, ai1 = ai0, br1 = br0, bi1 = bi0;
       for (std::size_t j = 0; j < rows; ++j) {
-        vec.butterfly(ar0.data() + j * lanes, ai0.data() + j * lanes,
-                      br0.data() + j * lanes, bi0.data() + j * lanes, w[2 * j],
-                      w[2 * j + 1], lanes);
+        vec.butterfly_rows(ar0.data() + j * lanes, ai0.data() + j * lanes,
+                           br0.data() + j * lanes, bi0.data() + j * lanes,
+                           w.data() + 2 * j, 1, lanes);
       }
       vec.butterfly_rows(ar1.data(), ai1.data(), br1.data(), bi1.data(),
                          w.data(), rows, lanes);
@@ -188,11 +195,11 @@ TEST(SimdPrimitives, CscaleFamilyMatchesScalar) {
   for (Backend b : supported_backends()) {
     const simd::Ops& vec = simd::ops(b);
     for (std::size_t n : kSizes) {
-      const float wr = -0.3f, wi = 0.9f;
+      const float w[2] = {-0.3f, 0.9f};
       auto re0 = random_floats(n, 5), im0 = random_floats(n, 6);
       auto re1 = re0, im1 = im0;
-      ref.cscale(re0.data(), im0.data(), wr, wi, n);
-      vec.cscale(re1.data(), im1.data(), wr, wi, n);
+      ref.cscale_rows(re0.data(), im0.data(), w, 1, n);
+      vec.cscale_rows(re1.data(), im1.data(), w, 1, n);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(re0[i], re1[i], 1e-5f) << simd::backend_name(b);
         EXPECT_NEAR(im0[i], im1[i], 1e-5f);
@@ -200,8 +207,8 @@ TEST(SimdPrimitives, CscaleFamilyMatchesScalar) {
 
       auto xr = random_floats(n, 7), xi = random_floats(n, 8);
       std::vector<float> yr0(n), yi0(n), yr1(n), yi1(n);
-      ref.cscale_to(yr0.data(), yi0.data(), xr.data(), xi.data(), wr, wi, n);
-      vec.cscale_to(yr1.data(), yi1.data(), xr.data(), xi.data(), wr, wi, n);
+      ref.cscale_rows_to(yr0.data(), yi0.data(), xr.data(), xi.data(), w, 1, n);
+      vec.cscale_rows_to(yr1.data(), yi1.data(), xr.data(), xi.data(), w, 1, n);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(yr0[i], yr1[i], 1e-5f);
         EXPECT_NEAR(yi0[i], yi1[i], 1e-5f);
@@ -220,8 +227,8 @@ TEST(SimdPrimitives, CscaleRowsMatchesPerRow) {
       auto w = random_floats(2 * rows, 33);
       auto re1 = re0, im1 = im0;
       for (std::size_t j = 0; j < rows; ++j) {
-        vec.cscale(re0.data() + j * lanes, im0.data() + j * lanes, w[2 * j],
-                   w[2 * j + 1], lanes);
+        vec.cscale_rows(re0.data() + j * lanes, im0.data() + j * lanes,
+                        w.data() + 2 * j, 1, lanes);
       }
       vec.cscale_rows(re1.data(), im1.data(), w.data(), rows, lanes);
       EXPECT_EQ(re0, re1) << simd::backend_name(b) << " lanes=" << lanes;
@@ -232,9 +239,9 @@ TEST(SimdPrimitives, CscaleRowsMatchesPerRow) {
       std::vector<float> yr0(rows * lanes), yi0(rows * lanes);
       std::vector<float> yr1(rows * lanes), yi1(rows * lanes);
       for (std::size_t j = 0; j < rows; ++j) {
-        vec.cscale_to(yr0.data() + j * lanes, yi0.data() + j * lanes,
-                      xr.data() + j * lanes, xi.data() + j * lanes, w[2 * j],
-                      w[2 * j + 1], lanes);
+        vec.cscale_rows_to(yr0.data() + j * lanes, yi0.data() + j * lanes,
+                           xr.data() + j * lanes, xi.data() + j * lanes,
+                           w.data() + 2 * j, 1, lanes);
       }
       vec.cscale_rows_to(yr1.data(), yi1.data(), xr.data(), xi.data(), w.data(),
                          rows, lanes);
@@ -257,16 +264,6 @@ TEST(SimdPrimitives, InterleavedOpsMatchScalar) {
       vec.cmul_interleaved(a1.data(), bb.data(), n);
       for (std::size_t i = 0; i < 2 * n; ++i) {
         EXPECT_NEAR(a0[i], a1[i], 1e-5f) << simd::backend_name(b) << " n=" << n;
-      }
-
-      // cmac_conj (tolerance).
-      auto y0 = random_floats(2 * n, 43);
-      auto x = random_floats(2 * n, 44);
-      auto y1 = y0;
-      ref.cmac_conj(y0.data(), x.data(), 0.7f, -0.2f, n);
-      vec.cmac_conj(y1.data(), x.data(), 0.7f, -0.2f, n);
-      for (std::size_t i = 0; i < 2 * n; ++i) {
-        EXPECT_NEAR(y0[i], y1[i], 1e-5f);
       }
 
       // scale / deinterleave_scale / interleave / norm_interleaved are

@@ -1111,18 +1111,16 @@ TEST(StapChain, DetectsInjectedTargetsEndToEnd) {
 
 // ------------------------------------------- GEMM kernel-layer contracts --
 
-// Restores the auto-detected SIMD backend even if a test fails mid-way.
+// Restores the SIMD backend that was active when the guard was made
+// (PSTAP_SIMD included) even if a test fails mid-way.
 struct SimdBackendGuard {
-  ~SimdBackendGuard() { simd::force_backend(simd::detect_best()); }
+  const simd::Backend saved = simd::active();
+  ~SimdBackendGuard() { simd::force_backend(saved); }
 };
 
 std::vector<simd::Backend> simd_backends() {
   std::vector<simd::Backend> out{simd::Backend::kScalar};
-  const simd::Backend best = simd::detect_best();
-  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kSse2)) {
-    out.push_back(simd::Backend::kSse2);
-  }
-  if (static_cast<int>(best) >= static_cast<int>(simd::Backend::kAvx2)) {
+  if (simd::detect_best() == simd::Backend::kAvx2) {
     out.push_back(simd::Backend::kAvx2);
   }
   return out;
