@@ -100,23 +100,7 @@ IoModeResult run_io_mode(const std::string& label, const pfs::PfsConfig& cfg) {
       r.config.straggler_slowdown = cfg.straggler_slowdown;
       r.totals.wall_s = out.wall;
       r.totals.throughput_cpis_per_s = kRounds / out.wall;
-      auto& eng = pfs.engine();
-      r.io.present = true;
-      r.io.queue_depth = eng.queue_depth();
-      r.io.service_time = eng.service_time();
-      r.io.submit_latency = eng.submit_latency();
-      for (std::size_t s = 0; s < eng.servers(); ++s) {
-        r.io.server_service_time.push_back(eng.server_service_time(s));
-      }
-      r.io.bytes_serviced = eng.bytes_serviced();
-      r.io.corrupt_chunks = eng.corrupt_chunks();
-      r.io.quarantined_servers = eng.quarantined_servers();
-      r.io.hedges_launched = eng.hedges_launched();
-      r.io.hedge_wins = eng.hedge_wins();
-      r.io.hedge_cancels = eng.hedge_cancels();
-      r.io.chunks_stolen = eng.chunks_stolen();
-      r.io.deadline_expired = eng.deadline_expired();
-      r.io.breaker_reopened = eng.breaker_reopened();
+      r.io = pfs.engine().stats();
       obs::ReportCollector::global().add(std::move(r));
     }
   }

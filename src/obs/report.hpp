@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -37,9 +38,49 @@ namespace pstap::obs {
 
 inline constexpr int kReportSchemaVersion = 1;
 
+/// I/O-side distributions and counters for one run: one IoEngine::stats()
+/// snapshot, plus the retry and fault-plan counters only the runner knows
+/// (left zero by the engine).
+struct IoStats {
+  Histogram queue_depth;     ///< per-submit stripe-queue depth
+  Histogram service_time;    ///< per-chunk service seconds
+  Histogram submit_latency;  ///< per-logical-request submit seconds
+  /// service_time split per stripe directory (index = server id): the
+  /// straggler signal, persisted into RunReports for the scheduler.
+  std::vector<Histogram> server_service_time;
+  std::uint64_t bytes_serviced = 0;
+  std::uint64_t retries = 0;          ///< retry sleeps during the run
+  std::uint64_t injected_delays = 0;  ///< from the run's fault plan
+  std::uint64_t injected_errors = 0;
+  std::uint64_t injected_partials = 0;
+  std::uint64_t injected_corruptions = 0;
+  std::uint64_t corrupt_chunks = 0;       ///< checksum mismatches caught
+  std::uint64_t quarantined_servers = 0;  ///< circuit-breaker trips
+  // Straggler-defense counters (zero unless straggler_sched is on):
+  std::uint64_t hedges_launched = 0;   ///< speculative backup reads issued
+  std::uint64_t hedge_wins = 0;        ///< backups that beat the original
+  std::uint64_t hedge_cancels = 0;     ///< losing twins discarded
+  std::uint64_t chunks_stolen = 0;     ///< queued jobs moved off slow servers
+  std::uint64_t deadline_expired = 0;  ///< in-flight jobs past their deadline
+  std::uint64_t breaker_reopened = 0;  ///< quarantined servers re-admitted
+};
+
+/// Supervision-and-recovery counters for one run; all zero when the run is
+/// unsupervised.
+struct RecoveryStats {
+  std::uint64_t injected_crashes = 0;   ///< from the run's fault plan
+  std::uint64_t crashes_detected = 0;   ///< deaths the monitor handled
+  std::uint64_t ranks_respawned = 0;
+  std::uint64_t io_failovers = 0;       ///< I/O-task ranks abandoned
+  std::uint64_t promoted_reads = 0;     ///< slab pieces Doppler self-read
+  std::uint64_t replayed_messages = 0;  ///< checkpoint-log replay hits
+  std::uint64_t checkpoint_peak_bytes = 0;
+  double max_detection_delay = 0;  ///< worst death -> recovery-action gap, s
+};
+
 /// Everything one run wants to say for itself. Fields left at their
 /// defaults are still serialized (a report is a fixed-shape record, not a
-/// sparse bag), except the `present`-gated sections.
+/// sparse bag), except the optional `io` and `recovery` sections.
 struct RunReport {
   std::string label;  ///< unique within a document; diff key
   std::string kind;   ///< "functional" | "sim"
@@ -95,44 +136,8 @@ struct RunReport {
   };
   std::vector<Task> tasks;
 
-  struct Io {
-    bool present = false;  ///< functional runs only
-    Histogram queue_depth;
-    Histogram service_time;
-    Histogram submit_latency;
-    std::vector<Histogram> server_service_time;  ///< index = server id
-    std::int64_t queue_depth_peak = 0;
-    std::uint64_t bytes_serviced = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t injected_delays = 0;
-    std::uint64_t injected_errors = 0;
-    std::uint64_t injected_partials = 0;
-    std::uint64_t injected_corruptions = 0;
-    std::uint64_t corrupt_chunks = 0;
-    std::uint64_t quarantined_servers = 0;
-    // Straggler-defense counters (schema v1 additive, PR 9): zero unless
-    // the straggler scheduler ran.
-    std::uint64_t hedges_launched = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t hedge_cancels = 0;
-    std::uint64_t chunks_stolen = 0;
-    std::uint64_t deadline_expired = 0;
-    std::uint64_t breaker_reopened = 0;
-  };
-  Io io;
-
-  struct Recovery {
-    bool present = false;  ///< supervised functional runs only
-    std::uint64_t injected_crashes = 0;
-    std::uint64_t crashes_detected = 0;
-    std::uint64_t ranks_respawned = 0;
-    std::uint64_t io_failovers = 0;
-    std::uint64_t promoted_reads = 0;
-    std::uint64_t replayed_messages = 0;
-    std::uint64_t checkpoint_peak_bytes = 0;
-    double max_detection_delay_s = 0;
-  };
-  Recovery recovery;
+  std::optional<IoStats> io;              ///< functional runs only
+  std::optional<RecoveryStats> recovery;  ///< supervised functional runs only
 
   /// Serialize this report as one JSON object (no enclosing document).
   void write_json(std::ostream& out) const;

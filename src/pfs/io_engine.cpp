@@ -406,4 +406,23 @@ std::uint64_t IoEngine::bytes_serviced() const {
   return bytes_serviced_.load(std::memory_order_relaxed);
 }
 
+obs::IoStats IoEngine::stats() const {
+  obs::IoStats out;
+  out.queue_depth = queue_depth_;
+  out.service_time = service_time_;
+  out.submit_latency = submit_latency_;
+  out.server_service_time.reserve(server_service_time_.size());
+  for (const auto& h : server_service_time_) out.server_service_time.push_back(*h);
+  out.bytes_serviced = bytes_serviced();
+  out.corrupt_chunks = corrupt_chunks();
+  out.quarantined_servers = quarantined_servers();
+  out.hedges_launched = hedges_launched();
+  out.hedge_wins = hedge_wins();
+  out.hedge_cancels = hedge_cancels();
+  out.chunks_stolen = chunks_stolen();
+  out.deadline_expired = deadline_expired();
+  out.breaker_reopened = breaker_reopened();
+  return out;
+}
+
 }  // namespace pstap::pfs

@@ -26,6 +26,7 @@
 #include "common/retry.hpp"
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "pfs/config.hpp"
 
 namespace pstap::pfs {
@@ -334,6 +335,10 @@ class IoEngine {
   /// enqueueing chunks (client-side cost before any service happens).
   const obs::Histogram& submit_latency() const noexcept { return submit_latency_; }
   void record_submit_latency(double seconds) { submit_latency_.record(seconds); }
+
+  /// One snapshot of every histogram and counter above. The run-level
+  /// fields the engine cannot see (retries, fault-plan counts) stay zero.
+  obs::IoStats stats() const;
 
  private:
   friend class StragglerScheduler;  // reorders/steals inside queue locks

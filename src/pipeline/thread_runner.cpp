@@ -5,6 +5,7 @@
 #include <chrono>
 #include <ctime>
 #include <deque>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -280,6 +281,24 @@ void unpack_bin_slab(stap::BinArray& dst, std::size_t r_lo, std::size_t r_hi,
   }
 }
 
+/// Receive `dst`'s bins of this CPI's Doppler output: one slab from each
+/// Doppler node, clipped to ranges [0, r_limit) (the training prefix for
+/// weights, every range for beamforming).
+void receive_bin_slabs(const NodeCtx& ctx, int cpi, int tag, std::size_t r_limit,
+                       stap::BinArray& dst) {
+  const int dops = ctx.nodes_of(TaskKind::kDoppler);
+  const BlockPartition ranges(ctx.params().ranges, static_cast<std::size_t>(dops));
+  for (int d = 0; d < dops; ++d) {
+    const std::size_t r_lo = ranges.begin(static_cast<std::size_t>(d));
+    const std::size_t r_hi = std::min(ranges.end(static_cast<std::size_t>(d)), r_limit);
+    if (r_lo >= r_hi) continue;
+    mp::Buffer payload;
+    const auto msg = recv_logged_cfloats(ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d),
+                                         tag, payload);
+    unpack_bin_slab(dst, r_lo, r_hi, msg);
+  }
+}
+
 /// Conventional (steering-only) weights used at CPI 0 before the first
 /// adaptive weights arrive over the temporal edge.
 stap::WeightSet default_weights(const stap::WeightComputer& wc,
@@ -301,19 +320,25 @@ stap::WeightSet default_weights(const stap::WeightComputer& wc,
 
 // ------------------------------------------------------------- I/O nodes --
 
+/// Open every round-robin CPI file; CPI k lives in file k % count.
+std::vector<pfs::StripedFile> open_round_robin(const NodeCtx& ctx) {
+  std::vector<pfs::StripedFile> files;
+  for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
+    files.push_back(ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
+  }
+  return files;
+}
+
 /// Shared logic for reading range slabs of the round-robin files with
 /// next-CPI prefetch when the file system supports asynchronous reads.
 class SlabReader {
  public:
   SlabReader(NodeCtx& ctx, std::size_t r_lo, std::size_t r_hi)
-      : ctx_(ctx), r_lo_(r_lo), r_hi_(r_hi) {
+      : ctx_(ctx), r_lo_(r_lo), r_hi_(r_hi), files_(open_round_robin(ctx)) {
     const auto& p = ctx.params();
     const std::size_t n = (r_hi - r_lo) * p.pulses * p.channels;
     bufs_[0].resize(n);
     bufs_[1].resize(n);
-    for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
-      files_.push_back(ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
-    }
   }
 
   /// Reads still in flight (a prefetch issued before the node unwound from
@@ -509,10 +534,7 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
       doppler_ranks.push_back(ctx.rank_of(TaskKind::kDoppler, d));
     }
     doppler_group = ctx.world.subgroup(doppler_ranks);
-    for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
-      collective_files.push_back(
-          ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
-    }
+    collective_files = open_round_robin(ctx);
   } else if (embedded) {
     reader.emplace(ctx, r_lo, r_hi);  // first start() issued before the loop
   }
@@ -526,12 +548,7 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
   std::vector<pfs::StripedFile> failover_files;
   auto self_read = [&](int cpi, std::size_t lo, std::size_t hi,
                        std::span<cfloat> piece) {
-    if (failover_files.empty()) {
-      for (std::size_t f = 0; f < ctx.opt.round_robin_files; ++f) {
-        failover_files.push_back(
-            ctx.fs.open(stap::round_robin_name(f, ctx.opt.round_robin_files)));
-      }
-    }
+    if (failover_files.empty()) failover_files = open_round_robin(ctx);
     auto& file = failover_files[static_cast<std::size_t>(cpi) % failover_files.size()];
     const std::string what = "failover read of cpi " + std::to_string(cpi);
     try {
@@ -683,12 +700,10 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
   const int n_self = ctx.nodes_of(self);
   const int n_bf = ctx.nodes_of(bf_kind);
-  const int dops = ctx.nodes_of(TaskKind::kDoppler);
   const BlockPartition mine(ids.size(), static_cast<std::size_t>(n_self));
   const BlockPartition bf_part(ids.size(), static_cast<std::size_t>(n_bf));
   const std::size_t b_lo = mine.begin(static_cast<std::size_t>(ctx.local));
   const std::size_t b_hi = mine.end(static_cast<std::size_t>(ctx.local));
-  const BlockPartition ranges(p.ranges, static_cast<std::size_t>(dops));
 
   std::vector<std::size_t> my_ids(ids.begin() + b_lo, ids.begin() + b_hi);
   stap::WeightComputer wc(p, my_ids, dof, ctx.opt.weight_solver);
@@ -700,18 +715,8 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
       ctx.complete_cpi(cpi);
       continue;
     }
-    clock.recv([&] {
-      for (int d = 0; d < dops; ++d) {
-        const std::size_t r_lo = ranges.begin(static_cast<std::size_t>(d));
-        const std::size_t r_hi =
-            std::min(ranges.end(static_cast<std::size_t>(d)), p.training_ranges);
-        if (r_lo >= r_hi) continue;
-        mp::Buffer payload;
-        const auto msg = recv_logged_cfloats(
-            ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), train_tag, payload);
-        unpack_bin_slab(training, r_lo, r_hi, msg);
-      }
-    });
+    clock.recv(
+        [&] { receive_bin_slabs(ctx, cpi, train_tag, p.training_ranges, training); });
 
     stap::WeightSet ws;
     clock.comp([&] { ws = wc.compute(training); });
@@ -743,6 +748,33 @@ void run_weights_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
 // ------------------------------------------------------- beamform nodes --
 
+/// Send row b of `rows` (absolute bin bins[b]: beams x ranges) to the
+/// `dest_kind` node owning that bin under `part`, one message per owner.
+/// Counting first sizes each pooled payload exactly.
+void send_rows_by_owner(const NodeCtx& ctx, const stap::BeamArray& rows,
+                        const std::vector<std::size_t>& bins,
+                        const BlockPartition& part, TaskKind dest_kind, int tag) {
+  const auto& p = ctx.params();
+  for (std::size_t n = 0; n < part.parts(); ++n) {
+    const auto owned = [&](std::size_t bin) { return part.owner(bin) == n; };
+    const auto nbins = static_cast<std::size_t>(std::count_if(bins.begin(), bins.end(), owned));
+    if (nbins == 0) continue;
+    mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
+    const auto out = payload.as_span<cfloat>();
+    std::size_t idx = 0;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (!owned(bins[b])) continue;
+      for (std::size_t beam = 0; beam < p.beams; ++beam) {
+        const auto row = rows.range_series(b, beam);
+        std::copy(row.begin(), row.end(), out.begin() + idx);
+        idx += p.ranges;
+      }
+    }
+    ctx.world.send_buffer(ctx.rank_of(dest_kind, static_cast<int>(n)), tag,
+                          std::move(payload));
+  }
+}
+
 void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
   const auto& p = ctx.params();
   const auto ids = hard ? p.hard_bins() : p.easy_bins();
@@ -755,14 +787,12 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
 
   const int n_self = ctx.nodes_of(self);
   const int n_wc = ctx.nodes_of(wc_kind);
-  const int dops = ctx.nodes_of(TaskKind::kDoppler);
   const TaskKind pc_kind = ctx.spec.combined_pc_cfar ? TaskKind::kPulseCompressionCfar
                                                      : TaskKind::kPulseCompression;
   const int n_pc = ctx.nodes_of(pc_kind);
 
   const BlockPartition mine(ids.size(), static_cast<std::size_t>(n_self));
   const BlockPartition wc_part(ids.size(), static_cast<std::size_t>(n_wc));
-  const BlockPartition ranges(p.ranges, static_cast<std::size_t>(dops));
   const BlockPartition pc_part(p.doppler_bins(), static_cast<std::size_t>(n_pc));
   const std::size_t b_lo = mine.begin(static_cast<std::size_t>(ctx.local));
   const std::size_t b_hi = mine.end(static_cast<std::size_t>(ctx.local));
@@ -785,16 +815,7 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
       continue;
     }
     clock.recv([&] {
-      // Spectra of the current CPI from every Doppler node.
-      for (int d = 0; d < dops; ++d) {
-        const std::size_t r_lo = ranges.begin(static_cast<std::size_t>(d));
-        const std::size_t r_hi = ranges.end(static_cast<std::size_t>(d));
-        if (r_lo >= r_hi) continue;
-        mp::Buffer payload;
-        const auto msg = recv_logged_cfloats(
-            ctx, cpi, ctx.rank_of(TaskKind::kDoppler, d), spec_tag, payload);
-        unpack_bin_slab(spectra, r_lo, r_hi, msg);
-      }
+      receive_bin_slabs(ctx, cpi, spec_tag, p.ranges, spectra);
       // Weights computed from the previous CPI (none at cpi 0). The
       // temporal edge: the message was *sent* at cpi-1 but is logged under
       // this consumption cpi, so eviction cannot outrun a replay.
@@ -823,54 +844,13 @@ void run_beamform_node(NodeCtx& ctx, PhaseClock& clock, bool hard) {
     stap::BeamArray out;
     clock.comp([&] { out = bf.apply(spectra, current); });
 
-    clock.send([&] {
-      // Route each absolute bin's (beams x ranges) block to its PC owner,
-      // counting first so the pooled payload is sized exactly.
-      for (int n = 0; n < n_pc; ++n) {
-        std::size_t nbins = 0;
-        for (std::size_t b = 0; b < my_ids.size(); ++b) {
-          if (pc_part.owner(my_ids[b]) == static_cast<std::size_t>(n)) ++nbins;
-        }
-        if (nbins == 0) continue;
-        mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
-        const auto buf = payload.as_span<cfloat>();
-        std::size_t idx = 0;
-        for (std::size_t b = 0; b < my_ids.size(); ++b) {
-          if (pc_part.owner(my_ids[b]) != static_cast<std::size_t>(n)) continue;
-          for (std::size_t beam = 0; beam < p.beams; ++beam) {
-            const auto row = out.range_series(b, beam);
-            std::copy(row.begin(), row.end(), buf.begin() + idx);
-            idx += p.ranges;
-          }
-        }
-        ctx.world.send_buffer(ctx.rank_of(pc_kind, n), beam_tag, std::move(payload));
-      }
-    });
+    clock.send(
+        [&] { send_rows_by_owner(ctx, out, my_ids, pc_part, pc_kind, beam_tag); });
     ctx.complete_cpi(cpi);
   }
 }
 
 // --------------------------------------------- PC / CFAR / combined nodes --
-
-/// The absolute bins task-local node `local` owns under `part`, split by
-/// easy/hard origin (which BF task ships them).
-struct RowPlan {
-  std::vector<std::size_t> bins;       // absolute, ascending
-  std::vector<std::size_t> easy_bins;  // subset that comes from easy BF
-  std::vector<std::size_t> hard_bins;  // subset from hard BF
-};
-
-RowPlan make_row_plan(const stap::RadarParams& p, const BlockPartition& part,
-                      int local) {
-  RowPlan plan;
-  const std::size_t lo = part.begin(static_cast<std::size_t>(local));
-  const std::size_t hi = part.end(static_cast<std::size_t>(local));
-  for (std::size_t b = lo; b < hi; ++b) {
-    plan.bins.push_back(b);
-    (p.is_hard_bin(b) ? plan.hard_bins : plan.easy_bins).push_back(b);
-  }
-  return plan;
-}
 
 /// Static routing of (bins x beams x ranges) rows from a sender task to
 /// this node: per sender, the receiver-local slots of the bins it ships, in
@@ -882,44 +862,30 @@ struct RowRoute {
   std::vector<std::vector<std::size_t>> slots_per_sender;
 };
 
-RowRoute make_row_route(const NodeCtx& ctx, const RowPlan& plan,
-                        TaskKind sender_kind, int tag, bool sender_is_bf_easy,
-                        bool sender_is_bf_hard) {
+/// Route to a node that owns absolute bins `bins` (ascending). A beamform
+/// sender partitions its own easy or hard bin list; any other sender
+/// (PC -> CFAR) partitions the full bin space.
+RowRoute make_row_route(const NodeCtx& ctx, const std::vector<std::size_t>& bins,
+                        TaskKind sender_kind, int tag) {
   const auto& p = ctx.params();
-  const int senders = ctx.nodes_of(sender_kind);
-  const auto easy_ids = p.easy_bins();
-  const auto hard_ids = p.hard_bins();
-
-  auto local_index_of = [&](const std::vector<std::size_t>& ids, std::size_t bin) {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), bin);
-    PSTAP_CHECK(it != ids.end() && *it == bin, "bin not in id list");
-    return static_cast<std::size_t>(it - ids.begin());
-  };
-  auto bin_slot = [&](std::size_t bin) {
-    const auto it = std::lower_bound(plan.bins.begin(), plan.bins.end(), bin);
-    return static_cast<std::size_t>(it - plan.bins.begin());
-  };
-
+  std::vector<std::size_t> ids;
+  if (sender_kind == TaskKind::kBeamformEasy) {
+    ids = p.easy_bins();
+  } else if (sender_kind == TaskKind::kBeamformHard) {
+    ids = p.hard_bins();
+  } else {
+    ids.resize(p.doppler_bins());
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+  }
+  const BlockPartition senders(ids.size(),
+                               static_cast<std::size_t>(ctx.nodes_of(sender_kind)));
   RowRoute route{sender_kind, tag, {}};
-  route.slots_per_sender.resize(static_cast<std::size_t>(senders));
-  for (int s = 0; s < senders; ++s) {
-    auto& slots = route.slots_per_sender[static_cast<std::size_t>(s)];
-    if (sender_is_bf_easy || sender_is_bf_hard) {
-      const auto& ids = sender_is_bf_easy ? easy_ids : hard_ids;
-      const auto& my = sender_is_bf_easy ? plan.easy_bins : plan.hard_bins;
-      const BlockPartition sp(ids.size(), static_cast<std::size_t>(senders));
-      for (const std::size_t bin : my) {
-        if (sp.owner(local_index_of(ids, bin)) == static_cast<std::size_t>(s)) {
-          slots.push_back(bin_slot(bin));
-        }
-      }
-    } else {
-      // Sender partitions the full bin space (PC -> CFAR).
-      const BlockPartition sp(p.doppler_bins(), static_cast<std::size_t>(senders));
-      for (const std::size_t bin : plan.bins) {
-        if (sp.owner(bin) == static_cast<std::size_t>(s)) slots.push_back(bin_slot(bin));
-      }
-    }
+  route.slots_per_sender.resize(senders.parts());
+  for (std::size_t slot = 0; slot < bins.size(); ++slot) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), bins[slot]);
+    if (it == ids.end() || *it != bins[slot]) continue;  // the other BF task's bin
+    const auto index = static_cast<std::size_t>(it - ids.begin());
+    route.slots_per_sender[senders.owner(index)].push_back(slot);
   }
   return route;
 }
@@ -949,79 +915,48 @@ void receive_rows(NodeCtx& ctx, int cpi, stap::BeamArray& rows,
   }
 }
 
-void run_pc_node(NodeCtx& ctx, PhaseClock& clock) {
+/// One node of the pipeline's tail: pulse compression, CFAR, or the
+/// merged PC+CFAR task. The task compresses unless it is CFAR and detects
+/// unless it is PC; a merged task runs both stages on the same rows, so
+/// the PC -> CFAR message disappears (the paper's T_{5+6} < T_5 + T_6).
+void run_tail_node(NodeCtx& ctx, PhaseClock& clock, TaskKind kind) {
   const auto& p = ctx.params();
-  const int n_pc = ctx.nodes_of(TaskKind::kPulseCompression);
-  const int n_cfar = ctx.nodes_of(TaskKind::kCfar);
-  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(n_pc));
-  const BlockPartition cfar_part(p.doppler_bins(), static_cast<std::size_t>(n_cfar));
-  const RowPlan plan = make_row_plan(p, mine, ctx.local);
-  const RowRoute easy_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformEasy, kTagBeamEasy, true, false);
-  const RowRoute hard_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformHard, kTagBeamHard, false, true);
+  const bool compresses = kind != TaskKind::kCfar;
+  const bool detects = kind != TaskKind::kPulseCompression;
+  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(ctx.nodes_of(kind)));
+  std::vector<std::size_t> bins(mine.size(static_cast<std::size_t>(ctx.local)));
+  std::iota(bins.begin(), bins.end(), mine.begin(static_cast<std::size_t>(ctx.local)));
+  std::vector<RowRoute> routes;
+  if (compresses) {
+    routes.push_back(make_row_route(ctx, bins, TaskKind::kBeamformEasy, kTagBeamEasy));
+    routes.push_back(make_row_route(ctx, bins, TaskKind::kBeamformHard, kTagBeamHard));
+  } else {
+    routes.push_back(make_row_route(ctx, bins, TaskKind::kPulseCompression, kTagPcOut));
+  }
+  // Only a PC task without CFAR forwards; the others never read this.
+  const BlockPartition cfar_part(
+      p.doppler_bins(), std::max<std::size_t>(1, ctx.nodes_of(TaskKind::kCfar)));
 
-  stap::PulseCompressor pc(p);
-  stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
+  std::optional<stap::PulseCompressor> pc;
+  if (compresses) pc.emplace(p);
+  std::optional<stap::CfarDetector> cfar;
+  if (detects) cfar.emplace(p);
+  stap::BeamArray rows(bins.size(), p.beams, p.ranges);
+  auto& sink = ctx.results->detections[static_cast<std::size_t>(ctx.world.rank())];
 
   for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
     clock.start_cpi(cpi);
-    if (plan.bins.empty()) {
+    if (bins.empty()) {  // more nodes than bins: idle node
       ctx.complete_cpi(cpi);
       continue;
     }
     clock.recv([&] {
-      receive_rows(ctx, cpi, rows, easy_route);
-      receive_rows(ctx, cpi, rows, hard_route);
+      for (const RowRoute& route : routes) receive_rows(ctx, cpi, rows, route);
     });
-    clock.comp([&] { pc.compress(rows); });
-    clock.send([&] {
-      for (int n = 0; n < n_cfar; ++n) {
-        std::size_t nbins = 0;
-        for (const std::size_t bin : plan.bins) {
-          if (cfar_part.owner(bin) == static_cast<std::size_t>(n)) ++nbins;
-        }
-        if (nbins == 0) continue;
-        mp::Buffer payload = ctx.payload_for(nbins * p.beams * p.ranges);
-        const auto out = payload.as_span<cfloat>();
-        std::size_t idx = 0;
-        for (std::size_t b = 0; b < plan.bins.size(); ++b) {
-          if (cfar_part.owner(plan.bins[b]) != static_cast<std::size_t>(n)) continue;
-          for (std::size_t beam = 0; beam < p.beams; ++beam) {
-            const auto row = rows.range_series(b, beam);
-            std::copy(row.begin(), row.end(), out.begin() + idx);
-            idx += p.ranges;
-          }
-        }
-        ctx.world.send_buffer(ctx.rank_of(TaskKind::kCfar, n), kTagPcOut,
-                              std::move(payload));
-      }
-    });
-    ctx.complete_cpi(cpi);
-  }
-}
-
-void run_cfar_node(NodeCtx& ctx, PhaseClock& clock, int my_world_rank) {
-  const auto& p = ctx.params();
-  const int n_cfar = ctx.nodes_of(TaskKind::kCfar);
-  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(n_cfar));
-  const RowPlan plan = make_row_plan(p, mine, ctx.local);
-  const RowRoute pc_route = make_row_route(ctx, plan, TaskKind::kPulseCompression,
-                                           kTagPcOut, false, false);
-
-  stap::CfarDetector cfar(p);
-  stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
-  auto& sink = ctx.results->detections[static_cast<std::size_t>(my_world_rank)];
-
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (plan.bins.empty()) {
-      ctx.complete_cpi(cpi);
-      continue;
-    }
-    clock.recv([&] { receive_rows(ctx, cpi, rows, pc_route); });
     clock.comp([&] {
-      auto dets = cfar.detect(rows, plan.bins);
+      if (pc) pc->compress(rows);
+      if (!cfar) return;
+      auto dets = cfar->detect(rows, bins);
       for (auto& d : dets) d.cpi = static_cast<std::uint64_t>(cpi);
       // Replay idempotence: a predecessor that died between comp and the
       // send-start crash site already appended this CPI's detections.
@@ -1030,46 +965,11 @@ void run_cfar_node(NodeCtx& ctx, PhaseClock& clock, int my_world_rank) {
       });
       sink.insert(sink.end(), dets.begin(), dets.end());
     });
-    clock.send([] {});
-    ctx.complete_cpi(cpi);
-  }
-}
-
-void run_pccfar_node(NodeCtx& ctx, PhaseClock& clock, int my_world_rank) {
-  const auto& p = ctx.params();
-  const int n_pc = ctx.nodes_of(TaskKind::kPulseCompressionCfar);
-  const BlockPartition mine(p.doppler_bins(), static_cast<std::size_t>(n_pc));
-  const RowPlan plan = make_row_plan(p, mine, ctx.local);
-  const RowRoute easy_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformEasy, kTagBeamEasy, true, false);
-  const RowRoute hard_route =
-      make_row_route(ctx, plan, TaskKind::kBeamformHard, kTagBeamHard, false, true);
-
-  stap::PulseCompressor pc(p);
-  stap::CfarDetector cfar(p);
-  stap::BeamArray rows(plan.bins.size(), p.beams, p.ranges);
-  auto& sink = ctx.results->detections[static_cast<std::size_t>(my_world_rank)];
-
-  for (int cpi = ctx.resume_cpi(); cpi < ctx.opt.cpis; ++cpi) {
-    clock.start_cpi(cpi);
-    if (plan.bins.empty()) {
-      ctx.complete_cpi(cpi);
-      continue;
-    }
-    clock.recv([&] {
-      receive_rows(ctx, cpi, rows, easy_route);
-      receive_rows(ctx, cpi, rows, hard_route);
+    clock.send([&] {
+      if (!detects) {
+        send_rows_by_owner(ctx, rows, bins, cfar_part, TaskKind::kCfar, kTagPcOut);
+      }
     });
-    clock.comp([&] {
-      pc.compress(rows);
-      auto dets = cfar.detect(rows, plan.bins);
-      for (auto& d : dets) d.cpi = static_cast<std::uint64_t>(cpi);
-      std::erase_if(sink, [&](const stap::Detection& d) {
-        return d.cpi == static_cast<std::uint64_t>(cpi);
-      });
-      sink.insert(sink.end(), dets.begin(), dets.end());
-    });
-    clock.send([] {});
     ctx.complete_cpi(cpi);
   }
 }
@@ -1165,6 +1065,7 @@ RunResult ThreadRunner::run() {
 
   auto node_main = [&](mp::Comm& comm) {
     const auto [task, local] = assign.locate(comm.rank());
+    const TaskKind kind = spec_.tasks[static_cast<std::size_t>(task)].kind;
     NodeCtx ctx{spec_, options_, assign, comm, fs, task, local, &results};
     ctx.pool = &pools[static_cast<std::size_t>(comm.rank())];
     if (supervisor) {
@@ -1173,20 +1074,18 @@ RunResult ThreadRunner::run() {
     }
     PhaseClock clock(
         options_, results.avg_phase[static_cast<std::size_t>(comm.rank())],
-        std::string("pipeline.stage.") +
-            task_name(spec_.tasks[static_cast<std::size_t>(task)].kind),
-        comm.rank(), ctx.sup);
-    switch (spec_.tasks[static_cast<std::size_t>(task)].kind) {
+        std::string("pipeline.stage.") + task_name(kind), comm.rank(), ctx.sup);
+    switch (kind) {
       case TaskKind::kParallelRead: run_read_node(ctx, clock); break;
       case TaskKind::kDoppler: run_doppler_node(ctx, clock); break;
       case TaskKind::kWeightsEasy: run_weights_node(ctx, clock, false); break;
       case TaskKind::kWeightsHard: run_weights_node(ctx, clock, true); break;
       case TaskKind::kBeamformEasy: run_beamform_node(ctx, clock, false); break;
       case TaskKind::kBeamformHard: run_beamform_node(ctx, clock, true); break;
-      case TaskKind::kPulseCompression: run_pc_node(ctx, clock); break;
-      case TaskKind::kCfar: run_cfar_node(ctx, clock, comm.rank()); break;
+      case TaskKind::kPulseCompression:
+      case TaskKind::kCfar:
       case TaskKind::kPulseCompressionCfar:
-        run_pccfar_node(ctx, clock, comm.rank());
+        run_tail_node(ctx, clock, kind);
         break;
     }
     clock.finish();
@@ -1235,43 +1134,17 @@ RunResult ThreadRunner::run() {
   }
   // I/O-side distributions and counters for this run (the engine and the
   // fault plan both live exactly one run, so these are per-run snapshots).
-  result.metrics.io.queue_depth = fs.engine().queue_depth();
-  result.metrics.io.service_time = fs.engine().service_time();
-  result.metrics.io.submit_latency = fs.engine().submit_latency();
-  result.metrics.io.server_service_time.reserve(fs.engine().servers());
-  for (std::size_t s = 0; s < fs.engine().servers(); ++s) {
-    result.metrics.io.server_service_time.push_back(
-        fs.engine().server_service_time(s));
-  }
-  result.metrics.io.bytes_serviced = fs.engine().bytes_serviced();
-  result.metrics.io.retries = io_retry_counter().value() - retries_before;
-  result.metrics.io.corrupt_chunks = fs.engine().corrupt_chunks();
-  result.metrics.io.quarantined_servers = fs.engine().quarantined_servers();
-  result.metrics.io.hedges_launched = fs.engine().hedges_launched();
-  result.metrics.io.hedge_wins = fs.engine().hedge_wins();
-  result.metrics.io.hedge_cancels = fs.engine().hedge_cancels();
-  result.metrics.io.chunks_stolen = fs.engine().chunks_stolen();
-  result.metrics.io.deadline_expired = fs.engine().deadline_expired();
-  result.metrics.io.breaker_reopened = fs.engine().breaker_reopened();
+  auto& io = result.metrics.io;
+  auto& rec = result.metrics.recovery;
+  io = fs.engine().stats();
+  io.retries = io_retry_counter().value() - retries_before;
+  if (supervisor) rec = supervisor->stats();
   if (options_.fault_plan) {
-    result.metrics.io.injected_delays = options_.fault_plan->injected_delays();
-    result.metrics.io.injected_errors = options_.fault_plan->injected_errors();
-    result.metrics.io.injected_partials = options_.fault_plan->injected_partials();
-    result.metrics.io.injected_corruptions =
-        options_.fault_plan->injected_corruptions();
-    result.metrics.recovery.injected_crashes =
-        options_.fault_plan->injected_crashes();
-  }
-  if (supervisor) {
-    const RecoveryStats rs = supervisor->stats();
-    auto& rec = result.metrics.recovery;
-    rec.crashes_detected = rs.crashes_detected;
-    rec.ranks_respawned = rs.ranks_respawned;
-    rec.io_failovers = rs.io_failovers;
-    rec.promoted_reads = rs.promoted_reads;
-    rec.replayed_messages = rs.replayed_messages;
-    rec.checkpoint_peak_bytes = rs.checkpoint_peak_bytes;
-    rec.max_detection_delay = rs.max_detection_delay;
+    io.injected_delays = options_.fault_plan->injected_delays();
+    io.injected_errors = options_.fault_plan->injected_errors();
+    io.injected_partials = options_.fault_plan->injected_partials();
+    io.injected_corruptions = options_.fault_plan->injected_corruptions();
+    rec.injected_crashes = options_.fault_plan->injected_crashes();
   }
   // Union the per-rank dropped-CPI sets and suppress those CPIs'
   // detections: a degraded read zero-fills only one node's slab, so the
@@ -1358,40 +1231,8 @@ RunResult ThreadRunner::run() {
       task.phases.push_back({"send", t.send, t.send_hist});
       report.tasks.push_back(std::move(task));
     }
-    const auto& io = result.metrics.io;
-    report.io.present = true;
-    report.io.queue_depth = io.queue_depth;
-    report.io.service_time = io.service_time;
-    report.io.submit_latency = io.submit_latency;
-    report.io.server_service_time = io.server_service_time;
-    report.io.queue_depth_peak =
-        static_cast<std::int64_t>(io.queue_depth.max());
-    report.io.bytes_serviced = io.bytes_serviced;
-    report.io.retries = io.retries;
-    report.io.injected_delays = io.injected_delays;
-    report.io.injected_errors = io.injected_errors;
-    report.io.injected_partials = io.injected_partials;
-    report.io.injected_corruptions = io.injected_corruptions;
-    report.io.corrupt_chunks = io.corrupt_chunks;
-    report.io.quarantined_servers = io.quarantined_servers;
-    report.io.hedges_launched = io.hedges_launched;
-    report.io.hedge_wins = io.hedge_wins;
-    report.io.hedge_cancels = io.hedge_cancels;
-    report.io.chunks_stolen = io.chunks_stolen;
-    report.io.deadline_expired = io.deadline_expired;
-    report.io.breaker_reopened = io.breaker_reopened;
-    if (options_.supervise.enabled) {
-      const auto& rec = result.metrics.recovery;
-      report.recovery.present = true;
-      report.recovery.injected_crashes = rec.injected_crashes;
-      report.recovery.crashes_detected = rec.crashes_detected;
-      report.recovery.ranks_respawned = rec.ranks_respawned;
-      report.recovery.io_failovers = rec.io_failovers;
-      report.recovery.promoted_reads = rec.promoted_reads;
-      report.recovery.replayed_messages = rec.replayed_messages;
-      report.recovery.checkpoint_peak_bytes = rec.checkpoint_peak_bytes;
-      report.recovery.max_detection_delay_s = rec.max_detection_delay;
-    }
+    report.io = io;
+    if (supervisor) report.recovery = rec;
     obs::ReportCollector::global().add(std::move(report));
   }
   return result;

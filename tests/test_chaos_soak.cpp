@@ -48,9 +48,8 @@ pipeline::RunOptions base_options(const fsys::path& root, const std::string& sub
 
 // Each seed arms crashes at two distinct ranks of the 8-rank separate-I/O
 // layout, at a pseudo-random CPI and crash site (CPI start or send-phase
-// start). The CFAR sink (rank 7) never sends, so its schedule always uses
-// the CPI-start site; whichever rules actually fire must all be detected
-// and recovered from.
+// start); the CFAR sink (rank 7) is only armed at CPI start. Whichever
+// rules actually fire must all be detected and recovered from.
 TEST(ChaosSoak, SeededCrashSchedulesAllRecover) {
   const fsys::path root =
       fsys::temp_directory_path() /
@@ -74,7 +73,9 @@ TEST(ChaosSoak, SeededCrashSchedulesAllRecover) {
                        total_ranks;
     auto site_of = [&](int rank) {
       std::string site = "pipeline.rank." + std::to_string(rank);
-      // The CFAR sink never reaches a send phase; keep its rule firable.
+      // The CFAR sink has no messages to send, but its send phase still
+      // runs and fires the ".send" site. Its rule stays at CPI start; the
+      // sink's send-site crash is SinkDeathAtSendReplacesItsDetections.
       if (rank != total_ranks - 1 && rng.next_u64() % 2 == 0) site += ".send";
       return site;
     };

@@ -812,6 +812,38 @@ TEST(RunReportTest, SchemaRoundTripAndTable3OrderingFromReportData) {
   fsys::remove(path);
 }
 
+// queue_depth_peak is derived from the queue_depth histogram when the
+// report is written, so a report whose I/O section is one engine snapshot
+// (as the straggler ablation writes) carries the real peak, not 0.
+TEST(RunReportTest, QueueDepthPeakMatchesTheEngineSnapshot) {
+  const fsys::path root =
+      fsys::temp_directory_path() /
+      ("pstap_obs_qdepth_" + std::to_string(::getpid()));
+  fsys::remove_all(root);
+  obs::RunReport report;
+  report.label = "queue depth";
+  report.kind = "functional";
+  {
+    pfs::StripedFileSystem fs(root, pfs::paragon_pfs(4));
+    const std::vector<std::byte> data(64 * 16 * KiB, std::byte{0x5a});
+    fs.write_file("cube", data);
+    std::vector<std::byte> buf(data.size());
+    fs.open("cube").read(0, buf);
+    report.io = fs.engine().stats();
+  }
+  const double peak = report.io->queue_depth.max();
+  ASSERT_GT(peak, 0.0) << "the read never queued a chunk";
+
+  std::ostringstream out;
+  report.write_json(out);
+  const Json doc = JsonParser(out.str()).parse();
+  const Json& io = doc.at("io");
+  EXPECT_EQ(io.at("queue_depth_peak").number, peak);
+  EXPECT_EQ(io.at("queue_depth").at("max").number, peak);
+  EXPECT_FALSE(doc.has("recovery")) << "an unset section is not serialized";
+  fsys::remove_all(root);
+}
+
 // ------------------------------------------------------- report_diff.py --
 
 obs::RunReport synthetic_report(double compute_scale) {

@@ -497,9 +497,12 @@ TEST_F(ThreadRunnerTest, RejectsBadOptions) {
 class AssignmentSweep : public ThreadRunnerTest,
                         public ::testing::WithParamInterface<std::vector<int>> {};
 
+// Seven node counts build the split PC/CFAR layout; six build the merged
+// PC+CFAR one.
 TEST_P(AssignmentSweep, DetectionsInvariantUnderAssignment) {
   const auto p = stap::RadarParams::test_small();
-  const auto spec = PipelineSpec::embedded_io(p, GetParam());
+  const auto spec = GetParam().size() == 6 ? PipelineSpec::combined(p, GetParam())
+                                           : PipelineSpec::embedded_io(p, GetParam());
   ThreadRunner runner(spec, options());
   const RunResult result = runner.run();
   for (int cpi = 1; cpi < 3; ++cpi) {
@@ -515,7 +518,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<int>{1, 2, 2, 1, 1, 1, 1},   // wide weights
                       std::vector<int>{1, 1, 1, 3, 3, 1, 1},   // wide beamforming
                       std::vector<int>{1, 1, 1, 1, 1, 3, 3},   // wide tail
-                      std::vector<int>{2, 2, 2, 2, 2, 2, 2})); // uniform 2x
+                      std::vector<int>{2, 2, 2, 2, 2, 2, 2},   // uniform 2x
+                      // PC and CFAR partitions that do not line up:
+                      std::vector<int>{1, 1, 1, 2, 1, 3, 2},
+                      std::vector<int>{1, 1, 1, 1, 2, 2, 3},
+                      // merged PC+CFAR, uneven and with an idle node:
+                      std::vector<int>{1, 1, 1, 2, 1, 3},
+                      std::vector<int>{1, 1, 1, 1, 1, 17}));
 
 // ------------------------------------------------------- credit window --
 

@@ -10,7 +10,9 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/checkpoint.hpp"
@@ -228,6 +230,39 @@ TEST_F(SupervisorPipelineTest, CrashAtSendPhaseReplaysFromTheRing) {
   EXPECT_EQ(rec.crashes_detected, 1u);
   EXPECT_EQ(rec.ranks_respawned, 1u);
   EXPECT_GT(rec.replayed_messages, 0u);
+}
+
+// The detection sink dies at its CPI 1 send-phase start: the CFAR rank of
+// the split layout, and the PC+CFAR rank of the merged one. The sink has
+// no sends, but the crash site still fires, after the rank appended CPI
+// 1's detections. The respawn replays CPI 1 and must replace those
+// detections, not add a second copy. keys_of builds a set and would hide
+// duplicates, so the count is checked too.
+TEST_F(SupervisorPipelineTest, SinkDeathAtSendReplacesItsDetections) {
+  const auto p = stap::RadarParams::test_small();
+  const std::vector<std::pair<pipeline::PipelineSpec, int>> layouts = {
+      {pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1}), 6},
+      {pipeline::PipelineSpec::combined(p, {1, 1, 1, 1, 1, 1}), 5},
+  };
+  for (const auto& [spec, sink] : layouts) {
+    const std::string tag = std::to_string(sink);
+    SCOPED_TRACE("sink rank " + tag);
+    pipeline::ThreadRunner baseline(spec, options(("kbase" + tag).c_str()));
+    const auto clean = baseline.run();
+
+    auto opt = supervised(("ksend" + tag).c_str());
+    opt.fault_plan = std::make_shared<fault::FaultPlan>(71);
+    opt.fault_plan->arm_crash("pipeline.rank." + tag + ".send", /*at_index=*/1);
+    pipeline::ThreadRunner runner(spec, opt);
+    const auto result = runner.run();
+
+    expect_same_detections(result, clean);
+    EXPECT_EQ(result.detections.size(), clean.detections.size());
+    EXPECT_TRUE(result.dropped_cpis.empty());
+    const auto& rec = result.metrics.recovery;
+    EXPECT_EQ(rec.crashes_detected, 1u);
+    EXPECT_EQ(rec.ranks_respawned, 1u);
+  }
 }
 
 // The separate I/O task (rank 0 of the separate layout) dies at CPI 1.
