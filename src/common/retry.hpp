@@ -5,21 +5,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <string>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
 
 namespace pstap {
 
-/// Process-wide count of I/O retry sleeps (with_retry and the slab-reader
-/// loop in pipeline/thread_runner both bump it). Looked up once: registry
-/// references are stable.
+/// Process-wide count of I/O retry sleeps (with_retry bumps it). Looked up
+/// once: registry references are stable.
 inline obs::Counter& io_retry_counter() {
   static obs::Counter& counter = obs::Registry::global().counter("io.retries");
   return counter;
@@ -50,8 +49,6 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;  ///< backoff growth per attempt
   Seconds max_backoff = 100e-3;     ///< cap on a single backoff sleep
   Seconds attempt_timeout = 0;      ///< per-attempt wait bound (0 = none)
-  double backoff_jitter = 0;        ///< fraction of backoff randomized, [0,1]
-  std::uint64_t jitter_seed = 0;    ///< base seed for deterministic jitter
 
   // Deadline-aware timeouts (straggler defense, DESIGN.md §12): when a
   // service-time distribution is supplied to effective_attempt_timeout,
@@ -84,26 +81,6 @@ inline Seconds effective_attempt_timeout(const RetryPolicy& policy,
   return std::min(policy.attempt_timeout, adaptive);
 }
 
-/// The backoff sleep before attempt `next_attempt`, with the policy's
-/// jitter applied. Jitter is *deterministic*: the draw is a pure function
-/// of (jitter_seed, what, next_attempt) via common/rng.hpp SplitMix64, so a
-/// chaos run replays byte-identically from one seed regardless of thread
-/// interleaving. A jitter fraction j maps backoff b to [(1-j)b, b).
-inline Seconds jittered_backoff(const RetryPolicy& policy,
-                                std::string_view what, int next_attempt,
-                                Seconds backoff) {
-  if (policy.backoff_jitter <= 0) return backoff;
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the call site name
-  for (char c : what) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  Rng rng(policy.jitter_seed ^ h ^
-          (static_cast<std::uint64_t>(next_attempt) * 0x9e3779b97f4a7c15ULL));
-  const double jitter = std::min(1.0, policy.backoff_jitter);
-  return backoff * (1.0 - jitter * rng.uniform());
-}
-
 /// True for errors that retrying cannot fix (a permanently failed server).
 inline bool is_permanent(const std::exception& e) {
   auto* injected = dynamic_cast<const fault::InjectedError*>(&e);
@@ -127,8 +104,7 @@ auto with_retry(const RetryPolicy& policy, const std::string& what,
       }
     }
     note_io_retry(what, attempt + 1);
-    const Seconds sleep = jittered_backoff(policy, what, attempt + 1, backoff);
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep));
+    std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     backoff = std::min(policy.max_backoff, backoff * policy.backoff_multiplier);
   }
 }

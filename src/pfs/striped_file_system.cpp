@@ -15,6 +15,15 @@ namespace pstap::pfs {
 
 namespace fs = std::filesystem;
 
+namespace {
+/// Name of stripe directory `dir`: "sd000", "sd001", ...
+std::string stripe_dir(std::size_t dir) {
+  char d[24];  // "sd" + the 20 digits of the largest size_t + NUL
+  std::snprintf(d, sizeof d, "sd%03zu", dir);
+  return d;
+}
+}  // namespace
+
 PfsConfig paragon_pfs(std::size_t stripe_factor) {
   PfsConfig cfg;
   cfg.name = "paragon-pfs-sf" + std::to_string(stripe_factor);
@@ -76,9 +85,7 @@ StripedFileSystem::StripedFileSystem(fs::path root, PfsConfig config)
   }
 
   for (std::size_t d = 0; d < config_.stripe_factor; ++d) {
-    char dir[32];
-    std::snprintf(dir, sizeof dir, "sd%03zu", d);
-    fs::create_directories(root_ / dir, ec);
+    fs::create_directories(root_ / stripe_dir(d), ec);
     if (ec) PSTAP_IO_FAIL("cannot create stripe directory", ec.value());
   }
   engine_ = std::make_unique<IoEngine>(config_);
@@ -100,17 +107,13 @@ void StripedFileSystem::validate_name(const std::string& name) const {
 }
 
 fs::path StripedFileSystem::segment_path(const std::string& name, std::size_t dir) const {
-  char d[16];
-  std::snprintf(d, sizeof d, "sd%03zu", dir);
-  return root_ / d / (name + ".seg");
+  return root_ / stripe_dir(dir) / (name + ".seg");
 }
 
 fs::path StripedFileSystem::replica_path(const std::string& name, std::size_t dir) const {
   // Replica of the units whose primary is `dir` lives one directory over,
   // so losing a single stripe directory never loses both copies of a unit.
-  char d[16];
-  std::snprintf(d, sizeof d, "sd%03zu", (dir + 1) % config_.stripe_factor);
-  return root_ / d / (name + ".r1.seg");
+  return root_ / stripe_dir((dir + 1) % config_.stripe_factor) / (name + ".r1.seg");
 }
 
 fs::path StripedFileSystem::meta_path(const std::string& name) const {

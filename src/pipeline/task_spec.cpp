@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 namespace pstap::pipeline {
 
@@ -38,24 +39,87 @@ int PipelineSpec::find(TaskKind kind) const {
   return -1;
 }
 
+int PipelineSpec::nodes_of(TaskKind kind) const {
+  const int i = find(kind);
+  return i < 0 ? 0 : tasks[static_cast<std::size_t>(i)].nodes;
+}
+
 namespace {
+/// The stages of the split separate-I/O organization, in pipeline order.
+constexpr TaskKind kStages[] = {
+    TaskKind::kParallelRead,     TaskKind::kDoppler,
+    TaskKind::kWeightsEasy,      TaskKind::kWeightsHard,
+    TaskKind::kBeamformEasy,     TaskKind::kBeamformHard,
+    TaskKind::kPulseCompression, TaskKind::kCfar,
+};
+
+/// Its message streams, in the order SimRunner wires them.
+constexpr Edge kEdges[] = {
+    {TaskKind::kParallelRead, TaskKind::kDoppler},
+    {TaskKind::kDoppler, TaskKind::kWeightsEasy},
+    {TaskKind::kDoppler, TaskKind::kWeightsHard},
+    {TaskKind::kDoppler, TaskKind::kBeamformEasy},
+    {TaskKind::kDoppler, TaskKind::kBeamformHard},
+    {TaskKind::kWeightsEasy, TaskKind::kBeamformEasy, /*temporal=*/true},
+    {TaskKind::kWeightsHard, TaskKind::kBeamformHard, /*temporal=*/true},
+    {TaskKind::kBeamformEasy, TaskKind::kPulseCompression},
+    {TaskKind::kBeamformHard, TaskKind::kPulseCompression},
+    {TaskKind::kPulseCompression, TaskKind::kCfar},
+};
+
+/// The task that runs `stage` in a declared structure: none for the read
+/// stage under embedded I/O (Doppler reads the files), and the merged task
+/// for PC and CFAR when the pipeline combines them.
+std::optional<TaskKind> placed(TaskKind stage, IoStrategy io, bool combined) {
+  if (stage == TaskKind::kParallelRead && io != IoStrategy::kSeparateTask) {
+    return std::nullopt;
+  }
+  const bool tail = stage == TaskKind::kPulseCompression || stage == TaskKind::kCfar;
+  return combined && tail ? TaskKind::kPulseCompressionCfar : stage;
+}
+
 std::vector<TaskKind> expected_structure(IoStrategy io, bool combined) {
   std::vector<TaskKind> kinds;
-  if (io == IoStrategy::kSeparateTask) kinds.push_back(TaskKind::kParallelRead);
-  kinds.push_back(TaskKind::kDoppler);
-  kinds.push_back(TaskKind::kWeightsEasy);
-  kinds.push_back(TaskKind::kWeightsHard);
-  kinds.push_back(TaskKind::kBeamformEasy);
-  kinds.push_back(TaskKind::kBeamformHard);
-  if (combined) {
-    kinds.push_back(TaskKind::kPulseCompressionCfar);
-  } else {
-    kinds.push_back(TaskKind::kPulseCompression);
-    kinds.push_back(TaskKind::kCfar);
+  for (const TaskKind stage : kStages) {
+    const auto kind = placed(stage, io, combined);
+    // Consecutive stages placed in one merged task make one task.
+    if (kind && (kinds.empty() || kinds.back() != *kind)) kinds.push_back(*kind);
   }
   return kinds;
 }
 }  // namespace
+
+std::vector<Edge> PipelineSpec::edges() const {
+  std::vector<Edge> out;
+  for (const Edge& e : kEdges) {
+    const auto from = placed(e.from, io, combined_pc_cfar);
+    const auto to = placed(e.to, io, combined_pc_cfar);
+    // A merged task sends itself nothing: the inner edge disappears.
+    if (from && to && *from != *to) out.push_back({*from, *to, e.temporal});
+  }
+  return out;
+}
+
+bool PipelineSpec::reads_files(TaskKind kind) const {
+  return kind == (io == IoStrategy::kSeparateTask ? TaskKind::kParallelRead
+                                                  : TaskKind::kDoppler);
+}
+
+stap::TaskWork task_work(const stap::WorkloadModel& model, TaskKind kind) {
+  switch (kind) {
+    case TaskKind::kParallelRead: return model.parallel_read();
+    case TaskKind::kDoppler: return model.doppler();
+    case TaskKind::kWeightsEasy: return model.weights_easy();
+    case TaskKind::kWeightsHard: return model.weights_hard();
+    case TaskKind::kBeamformEasy: return model.beamform_easy();
+    case TaskKind::kBeamformHard: return model.beamform_hard();
+    case TaskKind::kPulseCompression: return model.pulse_compression();
+    case TaskKind::kCfar: return model.cfar();
+    case TaskKind::kPulseCompressionCfar:
+      return stap::merged(model.pulse_compression(), model.cfar());
+  }
+  PSTAP_FAIL("unhandled task kind");
+}
 
 void PipelineSpec::validate() const {
   params.validate();
@@ -111,28 +175,6 @@ PipelineSpec proportional_assignment(const stap::RadarParams& params, int total,
   const auto kinds = expected_structure(io, combined_pc_cfar);
   const stap::WorkloadModel wm(params);
 
-  auto flops_of = [&](TaskKind kind) -> double {
-    auto load = [&](const stap::TaskWork& w) {
-      return w.flops + comm_flop_equiv * (w.in_bytes + w.out_bytes);
-    };
-    switch (kind) {
-      case TaskKind::kParallelRead: return 0.0;  // assigned explicitly
-      case TaskKind::kDoppler: {
-        // The file read is not network communication; weight compute + sends.
-        const auto w = wm.doppler();
-        return w.flops + comm_flop_equiv * w.out_bytes;
-      }
-      case TaskKind::kWeightsEasy: return load(wm.weights_easy());
-      case TaskKind::kWeightsHard: return load(wm.weights_hard());
-      case TaskKind::kBeamformEasy: return load(wm.beamform_easy());
-      case TaskKind::kBeamformHard: return load(wm.beamform_hard());
-      case TaskKind::kPulseCompression: return load(wm.pulse_compression());
-      case TaskKind::kCfar: return load(wm.cfar());
-      case TaskKind::kPulseCompressionCfar: return load(wm.pulse_compression_cfar());
-    }
-    return 0.0;
-  };
-
   // Compute tasks share `total`; the read task (if any) gets io_nodes.
   std::vector<TaskKind> compute_kinds;
   for (const TaskKind k : kinds) {
@@ -144,15 +186,24 @@ PipelineSpec proportional_assignment(const stap::RadarParams& params, int total,
     PSTAP_REQUIRE(io_nodes >= 1, "separate-I/O design needs io_nodes >= 1");
   }
 
-  double flops_total = 0.0;
-  for (const TaskKind k : compute_kinds) flops_total += flops_of(k);
+  // The first compute task's input is the CPI file, read from the file
+  // system or forwarded by the read task on its own nodes: it is not
+  // weighed as communication.
+  std::vector<double> load;
+  double load_total = 0.0;
+  for (const TaskKind k : compute_kinds) {
+    const stap::TaskWork w = task_work(wm, k);
+    const double in = load.empty() ? 0.0 : w.in_bytes;
+    load.push_back(w.flops + comm_flop_equiv * (in + w.out_bytes));
+    load_total += load.back();
+  }
 
   // Largest-remainder apportionment with a floor of one node per task.
   std::vector<int> assign(compute_kinds.size(), 1);
   int remaining = total - n_compute;
   std::vector<double> exact(compute_kinds.size());
   for (std::size_t i = 0; i < compute_kinds.size(); ++i) {
-    exact[i] = static_cast<double>(remaining) * flops_of(compute_kinds[i]) / flops_total;
+    exact[i] = static_cast<double>(remaining) * load[i] / load_total;
     assign[i] += static_cast<int>(exact[i]);
   }
   int used = 0;
@@ -177,13 +228,7 @@ PipelineSpec proportional_assignment(const stap::RadarParams& params, int total,
   for (const TaskKind k : kinds) {
     nodes.push_back(k == TaskKind::kParallelRead ? io_nodes : assign[ci++]);
   }
-  PipelineSpec spec;
-  spec.params = params;
-  spec.io = io;
-  spec.combined_pc_cfar = combined_pc_cfar;
-  for (std::size_t i = 0; i < kinds.size(); ++i) spec.tasks.push_back({kinds[i], nodes[i]});
-  spec.validate();
-  return spec;
+  return build(params, io, combined_pc_cfar, nodes);
 }
 
 }  // namespace pstap::pipeline

@@ -48,7 +48,18 @@ struct TaskSpec {
   int nodes = 1;  ///< P_i
 };
 
-/// A complete pipeline organization.
+/// A message stream between two tasks. Temporal edges carry CPI k's
+/// output to the consumer's CPI k + 1 (the weights); spatial edges stay
+/// within one CPI.
+struct Edge {
+  TaskKind from{};
+  TaskKind to{};
+  bool temporal = false;
+};
+
+/// A complete pipeline organization: the one place that knows the task
+/// graph. The cost model, the simulator and the node apportionment all
+/// read tasks, edges(), reads_files() and task_work() from here.
 struct PipelineSpec {
   stap::RadarParams params;
   IoStrategy io = IoStrategy::kEmbedded;
@@ -59,6 +70,18 @@ struct PipelineSpec {
 
   /// Index of the task with `kind`, or -1.
   int find(TaskKind kind) const;
+
+  /// Nodes of the task with `kind`, or 0 when the task is absent.
+  int nodes_of(TaskKind kind) const;
+
+  /// The message streams of the declared io/combined structure, in a fixed
+  /// order. A merged task keeps the edges of its parts; the edge between
+  /// them disappears.
+  std::vector<Edge> edges() const;
+
+  /// True for the task that reads the CPI files: the read task with
+  /// separate I/O, Doppler with embedded I/O.
+  bool reads_files(TaskKind kind) const;
 
   /// Throws PreconditionError unless the task list matches the declared
   /// io/combined structure and every task has >= 1 node.
@@ -81,6 +104,11 @@ struct PipelineSpec {
   static PipelineSpec combined(const stap::RadarParams& params,
                                const std::vector<int>& nodes);
 };
+
+/// Per-CPI work and message volumes of one task. A merged task is the
+/// concatenation of its parts (stap::merged): flops add, the input is the
+/// first part's and the output the last part's.
+stap::TaskWork task_work(const stap::WorkloadModel& model, TaskKind kind);
 
 /// Distribute `total` nodes over the tasks of the requested structure in
 /// proportion to each task's load (largest-remainder rounding, every task

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "common/simd.hpp"
 #include "common/wall_clock.hpp"
@@ -109,10 +110,7 @@ struct NodeCtx {
   }
 
   const stap::RadarParams& params() const { return spec.params; }
-  int nodes_of(TaskKind kind) const {
-    const int i = spec.find(kind);
-    return i < 0 ? 0 : spec.tasks[static_cast<std::size_t>(i)].nodes;
-  }
+  int nodes_of(TaskKind kind) const { return spec.nodes_of(kind); }
   int rank_of(TaskKind kind, int local_id) const {
     const int i = spec.find(kind);
     PSTAP_CHECK(i >= 0, "task kind absent from spec");
@@ -135,6 +133,21 @@ struct NodeCtx {
     if (ring != nullptr) ring->complete(cpi);
   }
 };
+
+/// Supervised wait for a message from `src` on `tag`, polled every 1 ms.
+/// Returns true once one is ready to receive, false when the supervisor
+/// has failed `src` over and none is left. All of a dead rank's sends are
+/// visible before failed() turns true, so the re-probe after it cannot
+/// strand a delivered message (which FIFO would hand to the wrong CPI).
+/// Throws MailboxClosed when the run aborts.
+bool await_supervised(const NodeCtx& ctx, int src, int tag) {
+  for (;;) {
+    if (ctx.world.probe(src, tag)) return true;
+    if (ctx.sup->failed(src)) return ctx.world.probe(src, tag).has_value();
+    if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 /// Checkpoint-aware receive: a replayed CPI gets the payload its dead
 /// predecessor consumed (byte-identical re-execution); a fresh receive is
@@ -388,33 +401,27 @@ class SlabReader {
   std::span<const cfloat> wait(int cpi, bool* dropped = nullptr) {
     if (empty()) return {};
     auto& buf = bufs_[cpi & 1];
-    const RetryPolicy& retry = ctx_.opt.io_retry;
-    Seconds backoff = retry.initial_backoff;
-    for (int attempt = 1;; ++attempt) {
-      try {
-        if (start_error_[cpi & 1]) {
-          std::exception_ptr e = start_error_[cpi & 1];
-          start_error_[cpi & 1] = nullptr;
+    const std::string what = "slab read of cpi " + std::to_string(cpi);
+    bool first_attempt = true;
+    try {
+      with_retry(ctx_.opt.io_retry, what, [&] {
+        if (!first_attempt) start(cpi);
+        first_attempt = false;
+        if (std::exception_ptr e = std::exchange(start_error_[cpi & 1], nullptr)) {
           std::rethrow_exception(e);
         }
         pfs::wait_with_timeout(
             pending_[cpi & 1],
-            effective_attempt_timeout(retry, &ctx_.fs.engine().service_time()),
-            "slab read of cpi " + std::to_string(cpi));
-        return buf;
-      } catch (const IoError& e) {
-        if (attempt >= retry.max_attempts || is_permanent(e)) {
-          if (dropped == nullptr) throw;
-          std::fill(buf.begin(), buf.end(), cfloat{});
-          *dropped = true;
-          return buf;
-        }
-      }
-      note_io_retry("slab read of cpi " + std::to_string(cpi), attempt + 1);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff = std::min(retry.max_backoff, backoff * retry.backoff_multiplier);
-      start(cpi);
+            effective_attempt_timeout(ctx_.opt.io_retry,
+                                      &ctx_.fs.engine().service_time()),
+            what);
+      });
+    } catch (const IoError&) {
+      if (dropped == nullptr) throw;
+      std::fill(buf.begin(), buf.end(), cfloat{});
+      *dropped = true;
     }
+    return buf;
   }
 
   bool async_capable() const { return ctx_.fs.config().supports_async; }
@@ -455,13 +462,8 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
     int& have = acked[static_cast<std::size_t>(d)];
     const int src = ctx.rank_of(TaskKind::kDoppler, d);
     while (have < cpi) {
-      if (ctx.sup == nullptr || ctx.world.probe(src, kTagCredit)) {
-        have = std::max(have, ctx.world.recv_value<int>(src, kTagCredit));
-        continue;
-      }
-      if (ctx.sup->failed(src)) return;
-      if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (ctx.sup != nullptr && !await_supervised(ctx, src, kTagCredit)) return;
+      have = std::max(have, ctx.world.recv_value<int>(src, kTagCredit));
     }
   };
 
@@ -574,26 +576,17 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
 
   // Receive raw slab piece [lo, hi) from read rank `src` as a file-order
   // payload, surviving the rank's death: replay from the checkpoint first;
-  // otherwise poll the mailbox against the supervisor's failover flag. All
-  // of a dead rank's sends are visible before failed() turns true, so the
-  // probe-after-failed re-check cannot strand a delivered message (which
-  // FIFO would hand to the wrong CPI).
+  // otherwise wait on the mailbox, and read the piece itself once the
+  // supervisor fails the rank over.
   auto recv_piece = [&](int cpi, int src, std::size_t lo, std::size_t hi) {
     if (ctx.sup == nullptr) return ctx.world.recv_buffer(src, kTagRaw);
     mp::Buffer payload;
     if (ctx.ring->replay_message(cpi, kTagRaw, src, payload)) return payload;
-    for (;;) {
-      if (ctx.world.probe(src, kTagRaw)) {
-        payload = ctx.world.recv_buffer(src, kTagRaw);
-        break;
-      }
-      if (ctx.sup->failed(src) && !ctx.world.probe(src, kTagRaw)) {
-        payload = ctx.payload_for((hi - lo) * per_range);
-        self_read(cpi, lo, hi, payload.as_span<cfloat>());
-        break;
-      }
-      if (ctx.sup->aborted()) throw mp::MailboxClosed("supervised run aborting");
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (await_supervised(ctx, src, kTagRaw)) {
+      payload = ctx.world.recv_buffer(src, kTagRaw);
+    } else {
+      payload = ctx.payload_for((hi - lo) * per_range);
+      self_read(cpi, lo, hi, payload.as_span<cfloat>());
     }
     // Log under the consumption CPI either way: a replay of this CPI must
     // see the same bytes whether they came off the wire or the disk. The
@@ -986,6 +979,8 @@ ThreadRunner::ThreadRunner(PipelineSpec spec, RunOptions options)
                 "warmup must leave at least one timed CPI");
   PSTAP_REQUIRE(!options_.fs_root.empty(), "fs_root must be set");
   PSTAP_REQUIRE(options_.round_robin_files >= 1, "need at least one data file");
+  PSTAP_REQUIRE(options_.io_retry.max_attempts >= 1,
+                "io_retry.max_attempts must be >= 1");
   PSTAP_REQUIRE(options_.file_layout == stap::FileLayout::kRangeMajor ||
                     spec_.io == IoStrategy::kEmbedded,
                 "pulse-major files are supported with embedded I/O only");

@@ -5,8 +5,6 @@
 
 namespace pstap::sim {
 
-using pipeline::TaskKind;
-
 CostModel::CostModel(pipeline::PipelineSpec spec, MachineModel machine)
     : spec_(std::move(spec)), machine_(std::move(machine)), work_(spec_.params) {
   spec_.validate();
@@ -63,116 +61,41 @@ StageCost CostModel::cost(std::size_t index) const {
   PSTAP_REQUIRE(index < spec_.tasks.size(), "task index out of range");
   const pipeline::TaskSpec& task = spec_.tasks[index];
   const int p = task.nodes;
+  const stap::TaskWork w = pipeline::task_work(work_, task.kind);
 
-  auto nodes_of = [&](TaskKind kind) {
-    const int i = spec_.find(kind);
-    return i < 0 ? 0 : spec_.tasks[static_cast<std::size_t>(i)].nodes;
-  };
-  const int n_read = nodes_of(TaskKind::kParallelRead);
-  const int n_dop = nodes_of(TaskKind::kDoppler);
-  const int n_we = nodes_of(TaskKind::kWeightsEasy);
-  const int n_wh = nodes_of(TaskKind::kWeightsHard);
-  const int n_be = nodes_of(TaskKind::kBeamformEasy);
-  const int n_bh = nodes_of(TaskKind::kBeamformHard);
-  const int n_pc_like = spec_.combined_pc_cfar
-                            ? nodes_of(TaskKind::kPulseCompressionCfar)
-                            : nodes_of(TaskKind::kPulseCompression);
-  const int n_cfar = nodes_of(TaskKind::kCfar);
+  // Each message touches every node of the task at the other end of the
+  // edge. The sink has no out-edge; net_time prices 0 peers as 1 (the
+  // detection reports).
+  int recv_peers = 0;
+  int send_peers = 0;
+  for (const pipeline::Edge& e : spec_.edges()) {
+    if (e.to == task.kind) recv_peers += spec_.nodes_of(e.from);
+    if (e.from == task.kind) send_peers += spec_.nodes_of(e.to);
+  }
 
   StageCost c;
   c.kind = task.kind;
   c.nodes = p;
-
-  const auto fill_compute = [&](const stap::TaskWork& w) {
-    const double f = machine_.serial_fraction;
-    c.compute = w.flops * (1.0 - f) / (static_cast<double>(p) * machine_.node_flops) +
-                w.flops * f / machine_.node_flops + overhead(machine_, p);
-  };
-
-  switch (task.kind) {
-    case TaskKind::kParallelRead: {
-      const auto w = work_.parallel_read();
-      c.io = io_read_time(p);
-      c.compute = overhead(machine_, p);
-      c.send = net_time(w.out_bytes, p, n_dop);
-      if (machine_.async_io) {
-        // The next CPI's read overlaps forwarding of the current one; the
-        // reported receive phase is the residual wait.
-        c.occupancy = std::max(c.io, c.compute + c.send);
-        c.receive = std::max<Seconds>(c.io - (c.compute + c.send), 0);
-      } else {
-        c.occupancy = c.io + c.compute + c.send;
-        c.receive = c.io;
-      }
-      return c;
-    }
-    case TaskKind::kDoppler: {
-      const auto w = work_.doppler();
-      fill_compute(w);
-      c.send = net_time(w.out_bytes, p, n_be + n_bh + n_we + n_wh);
-      if (spec_.io == pipeline::IoStrategy::kEmbedded) {
-        c.io = io_read_time(p);
-        if (machine_.async_io) {
-          c.occupancy = std::max(c.io, c.compute + c.send);
-          c.receive = std::max<Seconds>(c.io - (c.compute + c.send), 0);
-        } else {
-          c.occupancy = c.io + c.compute + c.send;
-          c.receive = c.io;
-        }
-      } else {
-        c.receive = net_time(w.in_bytes, p, n_read);
-        c.occupancy = c.receive + c.compute + c.send;
-      }
-      return c;
-    }
-    case TaskKind::kWeightsEasy:
-    case TaskKind::kWeightsHard: {
-      const auto w = task.kind == TaskKind::kWeightsEasy ? work_.weights_easy()
-                                                         : work_.weights_hard();
-      const int n_bf = task.kind == TaskKind::kWeightsEasy ? n_be : n_bh;
-      fill_compute(w);
-      c.receive = net_time(w.in_bytes, p, n_dop);
-      c.send = net_time(w.out_bytes, p, n_bf);
-      c.occupancy = c.total();
-      return c;
-    }
-    case TaskKind::kBeamformEasy:
-    case TaskKind::kBeamformHard: {
-      const bool easy = task.kind == TaskKind::kBeamformEasy;
-      const auto w = easy ? work_.beamform_easy() : work_.beamform_hard();
-      const int n_wc = easy ? n_we : n_wh;
-      fill_compute(w);
-      c.receive = net_time(w.in_bytes, p, n_dop + n_wc);
-      c.send = net_time(w.out_bytes, p, n_pc_like);
-      c.occupancy = c.total();
-      return c;
-    }
-    case TaskKind::kPulseCompression: {
-      const auto w = work_.pulse_compression();
-      fill_compute(w);
-      c.receive = net_time(w.in_bytes, p, n_be + n_bh);
-      c.send = net_time(w.out_bytes, p, n_cfar);
-      c.occupancy = c.total();
-      return c;
-    }
-    case TaskKind::kCfar: {
-      const auto w = work_.cfar();
-      fill_compute(w);
-      c.receive = net_time(w.in_bytes, p, n_pc_like);
-      c.send = net_time(w.out_bytes, p, 1);  // detection reports to the sink
-      c.occupancy = c.total();
-      return c;
-    }
-    case TaskKind::kPulseCompressionCfar: {
-      const auto w = work_.pulse_compression_cfar();
-      fill_compute(w);
-      c.receive = net_time(w.in_bytes, p, n_be + n_bh);
-      c.send = net_time(w.out_bytes, p, 1);
-      c.occupancy = c.total();
-      return c;
-    }
+  const double f = machine_.serial_fraction;
+  c.compute = w.flops * (1.0 - f) / (static_cast<double>(p) * machine_.node_flops) +
+              w.flops * f / machine_.node_flops + overhead(machine_, p);
+  c.send = net_time(w.out_bytes, p, send_peers);
+  if (!spec_.reads_files(task.kind)) {
+    c.receive = net_time(w.in_bytes, p, recv_peers);
+    c.occupancy = c.total();
+    return c;
   }
-  PSTAP_FAIL("unhandled task kind");
+  c.io = io_read_time(p);
+  if (machine_.async_io) {
+    // The next CPI's read overlaps compute and send of the current one;
+    // the reported receive phase is the residual wait.
+    c.occupancy = std::max(c.io, c.compute + c.send);
+    c.receive = std::max<Seconds>(c.io - (c.compute + c.send), 0);
+  } else {
+    c.occupancy = c.io + c.compute + c.send;
+    c.receive = c.io;
+  }
+  return c;
 }
 
 std::vector<StageCost> CostModel::all() const {

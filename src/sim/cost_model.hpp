@@ -1,7 +1,9 @@
 // Per-task cost model: prices each pipeline task's receive/compute/send
 // phases on a MachineModel — the paper's T_i = W_i/P_i + C_i + V_i
 // (eq. 6) made concrete, including the file-system service model and the
-// async-vs-sync read distinction.
+// async-vs-sync read distinction. W_i comes from pipeline::task_work and
+// the peers of C_i from the spec's edges(); the model itself knows no task
+// by name.
 #pragma once
 
 #include <vector>

@@ -14,8 +14,6 @@
 
 namespace pstap::sim {
 
-using pipeline::TaskKind;
-
 SimRunner::SimRunner(pipeline::PipelineSpec spec, MachineModel machine, SimOptions opt)
     : model_(std::move(spec), std::move(machine)), opt_(opt) {
   PSTAP_REQUIRE(opt_.cpis >= 2, "need at least two CPIs");
@@ -53,11 +51,7 @@ SimResult SimRunner::run() {
     const auto rep = opt_.replicas.find(s.cost.kind);
     s.replicas = rep == opt_.replicas.end() ? 1 : rep->second;
     PSTAP_REQUIRE(s.replicas >= 1, "replica counts must be >= 1");
-    const bool reads_files =
-        s.cost.kind == TaskKind::kParallelRead ||
-        (s.cost.kind == TaskKind::kDoppler &&
-         spec.io == pipeline::IoStrategy::kEmbedded);
-    PSTAP_REQUIRE(s.replicas == 1 || !reads_files,
+    PSTAP_REQUIRE(s.replicas == 1 || !spec.reads_files(s.cost.kind),
                   "file-reading tasks cannot be replicated (shared I/O servers)");
     s.next_k.resize(static_cast<std::size_t>(s.replicas));
     s.busy.assign(static_cast<std::size_t>(s.replicas), false);
@@ -91,39 +85,21 @@ SimResult SimRunner::run() {
     return it == crash_extra.end() ? 0.0 : it->second;
   };
 
-  const auto idx = [&](TaskKind kind) { return spec.find(kind); };
-  const int i_read = idx(TaskKind::kParallelRead);
-  const int i_dop = idx(TaskKind::kDoppler);
-  const int i_we = idx(TaskKind::kWeightsEasy);
-  const int i_wh = idx(TaskKind::kWeightsHard);
-  const int i_be = idx(TaskKind::kBeamformEasy);
-  const int i_bh = idx(TaskKind::kBeamformHard);
-  const int i_pc = spec.combined_pc_cfar ? idx(TaskKind::kPulseCompressionCfar)
-                                         : idx(TaskKind::kPulseCompression);
-  const int i_cfar = spec.combined_pc_cfar ? -1 : idx(TaskKind::kCfar);
-  const int i_last = spec.combined_pc_cfar ? i_pc : i_cfar;
-
-  auto connect = [&](int from, int to, int delay = 0) {
-    stages[static_cast<std::size_t>(from)].out.push_back({to, delay});
-    stages[static_cast<std::size_t>(to)].needed += 1;
-  };
-  if (i_read >= 0) connect(i_read, i_dop);
-  connect(i_dop, i_we);
-  connect(i_dop, i_wh);
-  connect(i_dop, i_be);
-  connect(i_dop, i_bh);
-  connect(i_we, i_be, /*delay=*/1);  // temporal: weights(k) used at k+1
-  connect(i_wh, i_bh, /*delay=*/1);
-  connect(i_be, i_pc);
-  connect(i_bh, i_pc);
-  if (i_cfar >= 0) connect(i_pc, i_cfar);
-
-  // Source feeds the head stage; CPI 0's weights are the precomputed
-  // conventional set, available immediately on the temporal edges.
-  const int head = i_read >= 0 ? i_read : i_dop;
+  // The source feeds the head stage, the first in pipeline order; the
+  // sink is the last. A temporal edge delivers CPI k's output at k + 1, and
+  // CPI 0's weights are the precomputed conventional set, available
+  // immediately.
+  const int head = 0;
+  const int sink = n - 1;
   stages[static_cast<std::size_t>(head)].needed += 1;  // the source token
-  stages[static_cast<std::size_t>(i_be)].arrived[0] += 1;
-  stages[static_cast<std::size_t>(i_bh)].arrived[0] += 1;
+  for (const pipeline::Edge& e : spec.edges()) {
+    const int to = spec.find(e.to);
+    Stage& dest = stages[static_cast<std::size_t>(to)];
+    stages[static_cast<std::size_t>(spec.find(e.from))].out.push_back(
+        {to, e.temporal ? 1 : 0});
+    dest.needed += 1;
+    if (e.temporal) dest.arrived[0] += 1;
+  }
 
   // Radar rate: the bottleneck period unless overridden; replication
   // multiplies a stage's sustainable rate.
@@ -142,7 +118,6 @@ SimResult SimRunner::run() {
   std::vector<obs::Histogram> service_hist(static_cast<std::size_t>(n));
   std::vector<Seconds> entry(static_cast<std::size_t>(opt_.cpis), -1);
   std::vector<Seconds> exit_t(static_cast<std::size_t>(opt_.cpis), -1);
-  const Seconds steady_start_guess = 0;  // refined below via warmup indices
 
   // Forward declaration via std::function: stages trigger each other.
   // CPI k is handled by replica k % replicas of each stage.
@@ -174,7 +149,7 @@ SimResult SimRunner::run() {
               "sim", pipeline::task_name(self.cost.kind), si, end_ns - dur_ns,
               dur_ns, k, /*detail=*/{}, /*tid=*/static_cast<std::int64_t>(ri));
         }
-        if (si == i_last) exit_t[static_cast<std::size_t>(k)] = queue.now();
+        if (si == sink) exit_t[static_cast<std::size_t>(k)] = queue.now();
         for (const Stage::OutEdge& e : self.out) {
           const int dest_k = k + e.delay;
           if (dest_k < opt_.cpis) {
@@ -196,7 +171,6 @@ SimResult SimRunner::run() {
   }
 
   queue.run();
-  (void)steady_start_guess;
 
   // --- statistics over the steady window [warmup, cpis) ---
   SimResult result;

@@ -1,9 +1,9 @@
 // SimRunner: discrete-event execution of a PipelineSpec on a MachineModel.
 //
 // Each task is a stage server whose per-CPI busy time comes from the
-// CostModel; stages are wired along the paper's spatial edges (with the
-// beamforming fork/join) and the temporal weight edges (weights computed
-// at CPI k are consumed at k+1). The source releases CPIs at the radar
+// CostModel; stages are wired along the spec's edges(): the spatial ones
+// (with the beamforming fork/join) and the temporal weight edges (weights
+// computed at CPI k are consumed at k+1). The source releases CPIs at the radar
 // rate — by default the pipeline's sustainable rate, i.e. the bottleneck
 // period — and the runner measures steady-state throughput (from report
 // inter-departure times) and latency (entry to detection report), which in

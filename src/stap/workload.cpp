@@ -9,6 +9,10 @@ constexpr double kCplxMacFlops = 8.0;  // complex multiply-add in real flops
 constexpr double kBytesPerSample = static_cast<double>(sizeof(cfloat));
 }  // namespace
 
+TaskWork merged(const TaskWork& first, const TaskWork& second) {
+  return {first.flops + second.flops, first.in_bytes, second.out_bytes};
+}
+
 WorkloadModel::WorkloadModel(const RadarParams& params) : params_(params) {
   params_.validate();
 }
@@ -67,10 +71,8 @@ double weight_flops(double bins, double dof, double training, double beams) {
 }
 }  // namespace
 
-TaskWork WorkloadModel::weights_easy() const {
+TaskWork WorkloadModel::weights(double bins, double dof) const {
   TaskWork w;
-  const double bins = static_cast<double>(params_.easy_bin_count());
-  const double dof = static_cast<double>(params_.easy_dof());
   w.flops = weight_flops(bins, dof, static_cast<double>(params_.training_ranges),
                          static_cast<double>(params_.beams));
   // Temporal input: only the training range gates of the previous CPI's
@@ -81,22 +83,18 @@ TaskWork WorkloadModel::weights_easy() const {
   return w;
 }
 
-TaskWork WorkloadModel::weights_hard() const {
-  TaskWork w;
-  const double bins = static_cast<double>(params_.hard_bin_count());
-  const double dof = static_cast<double>(params_.hard_dof());
-  w.flops = weight_flops(bins, dof, static_cast<double>(params_.training_ranges),
-                         static_cast<double>(params_.beams));
-  w.in_bytes = bins * dof * static_cast<double>(params_.training_ranges) *
-               kBytesPerSample;
-  w.out_bytes = bins * static_cast<double>(params_.beams) * dof * kBytesPerSample;
-  return w;
+TaskWork WorkloadModel::weights_easy() const {
+  return weights(static_cast<double>(params_.easy_bin_count()),
+                 static_cast<double>(params_.easy_dof()));
 }
 
-TaskWork WorkloadModel::beamform_easy() const {
+TaskWork WorkloadModel::weights_hard() const {
+  return weights(static_cast<double>(params_.hard_bin_count()),
+                 static_cast<double>(params_.hard_dof()));
+}
+
+TaskWork WorkloadModel::beamform(double bins, double dof) const {
   TaskWork w;
-  const double bins = static_cast<double>(params_.easy_bin_count());
-  const double dof = static_cast<double>(params_.easy_dof());
   const double beams = static_cast<double>(params_.beams);
   const double nr = static_cast<double>(params_.ranges);
   w.flops = bins * beams * dof * nr * kCplxMacFlops;
@@ -106,16 +104,14 @@ TaskWork WorkloadModel::beamform_easy() const {
   return w;
 }
 
+TaskWork WorkloadModel::beamform_easy() const {
+  return beamform(static_cast<double>(params_.easy_bin_count()),
+                  static_cast<double>(params_.easy_dof()));
+}
+
 TaskWork WorkloadModel::beamform_hard() const {
-  TaskWork w;
-  const double bins = static_cast<double>(params_.hard_bin_count());
-  const double dof = static_cast<double>(params_.hard_dof());
-  const double beams = static_cast<double>(params_.beams);
-  const double nr = static_cast<double>(params_.ranges);
-  w.flops = bins * beams * dof * nr * kCplxMacFlops;
-  w.in_bytes = bin_array_bytes(bins, dof) + bins * beams * dof * kBytesPerSample;
-  w.out_bytes = bins * beams * nr * kBytesPerSample;
-  return w;
+  return beamform(static_cast<double>(params_.hard_bin_count()),
+                  static_cast<double>(params_.hard_dof()));
 }
 
 TaskWork WorkloadModel::pulse_compression() const {
@@ -140,19 +136,6 @@ TaskWork WorkloadModel::cfar() const {
   w.in_bytes = bins * beams * nr * kBytesPerSample;
   // Detection reports: negligible, price one cache line per (bin, beam).
   w.out_bytes = bins * beams * 64.0;
-  return w;
-}
-
-TaskWork WorkloadModel::pulse_compression_cfar() const {
-  // The combined task computes both phases but sends no intermediate
-  // array between them — the source of the paper's latency win (eq. 10:
-  // C_{5+6} < C_5 + C_6).
-  const TaskWork pc = pulse_compression();
-  const TaskWork cf = cfar();
-  TaskWork w;
-  w.flops = pc.flops + cf.flops;
-  w.in_bytes = pc.in_bytes;
-  w.out_bytes = cf.out_bytes;
   return w;
 }
 

@@ -24,6 +24,12 @@ struct TaskWork {
   double out_bytes = 0.0;  ///< sent to the next task(s)
 };
 
+/// Work of one task that runs `first` and then `second` on the same nodes
+/// (paper section 6): flops add, the input is `first`'s and the output
+/// `second`'s. The message between the two is never sent — the source of
+/// the paper's latency win (eq. 10: C_{5+6} < C_5 + C_6).
+TaskWork merged(const TaskWork& first, const TaskWork& second);
+
 class WorkloadModel {
  public:
   explicit WorkloadModel(const RadarParams& params);
@@ -57,12 +63,11 @@ class WorkloadModel {
   /// Task 7: CFAR processing.
   TaskWork cfar() const;
 
-  /// Combined pulse compression + CFAR task (paper section 6).
-  TaskWork pulse_compression_cfar() const;
-
  private:
   static double fft_flops(double n);
   double bin_array_bytes(double bins, double dof) const;
+  TaskWork weights(double bins, double dof) const;
+  TaskWork beamform(double bins, double dof) const;
 
   RadarParams params_;
 };

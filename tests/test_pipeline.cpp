@@ -489,6 +489,9 @@ TEST_F(ThreadRunnerTest, RejectsBadOptions) {
   opt = options();
   opt.fs_root.clear();
   EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
+  opt = options();
+  opt.io_retry.max_attempts = 0;
+  EXPECT_THROW(ThreadRunner(spec, opt), PreconditionError);
 }
 
 // Any node assignment must leave the pipeline's output unchanged: sweep a

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/cost_model.hpp"
@@ -510,6 +513,164 @@ TEST(SimRunnerTest, DeterministicAcrossRuns) {
   const SimResult b = SimRunner(spec, paragon_like(16)).run();
   EXPECT_DOUBLE_EQ(a.measured_throughput, b.measured_throughput);
   EXPECT_DOUBLE_EQ(a.measured_latency, b.measured_latency);
+}
+
+// ----------------------------------------------------------- pinned values --
+//
+// Exact per-task costs, SimRunner measurements and node apportionments of
+// all three organizations, as hex-float literals. The shape tests above
+// check inequalities; these catch any change to a peer sum, a work term,
+// an edge or the I/O branch. They cover the read task and synchronous I/O
+// (sp_like), which the Table 3 golden report never reaches.
+
+const std::vector<int> kEmbeddedNodes{8, 2, 6, 4, 10, 6, 4};
+const std::vector<int> kSeparateNodes{4, 8, 2, 6, 4, 10, 6, 4};
+const std::vector<int> kCombinedNodes{8, 2, 6, 4, 10, 10};
+
+struct PinnedCost {
+  Seconds receive, compute, send, occupancy, io;
+};
+
+const PinnedCost kEmbeddedParagon[] = {
+    {0x0p+0, 0x1.bef9a10a73b7dp-2, 0x1.1506f841c59d2p-4, 0x1.021daf8d728f9p-1, 0x1.86ae93b50c752p-3},
+    {0x1.84eab5ebdfb78p-6, 0x1.44f02844264dp-2, 0x1.24c32de799d7bp-10, 0x1.5e6396d0cbe25p-2, 0x0p+0},
+    {0x1.754b05b7cfe58p-9, 0x1.f1d0b0764cb35p-5, 0x1.16ebd4cfd08d5p-10, 0x1.08ee5fbc241bp-4, 0x0p+0},
+    {0x1.7d5fa72f84521p-4, 0x1.308ad8955c7b9p-2, 0x1.81a3d98e7c2f2p-6, 0x1.a7fcfffa2553p-2, 0x0p+0},
+    {0x1.71418bbb8a853p-7, 0x1.16d3622b40fc3p-5, 0x1.df68b0c381ca7p-10, 0x1.821f0aa03fabdp-5, 0x0p+0},
+    {0x1.330823735af9dp-6, 0x1.8827a0bf6f063p-3, 0x1.22a5d5a0694fep-6, 0x1.d2dd5fe1e78f7p-3, 0x0p+0},
+    {0x1.b3f8c0709df7dp-6, 0x1.c0ff6f5b86784p-6, 0x1.3deda158aabcp-12, 0x1.bcf7f328c38d8p-5, 0x0p+0},
+};
+const PinnedCost kEmbeddedSp[] = {
+    {0x1.eada78c455a9cp-5, 0x1.c3d81823b94cdp-4, 0x1.35e894100b8acp-4, 0x1.f796f44af7d64p-3, 0x1.eada78c455a9cp-5},
+    {0x1.b2bd570e03cecp-6, 0x1.475f63d0c9178p-4, 0x1.00b0ffe7ac4c2p-10, 0x1.b8117d93e8bc6p-4, 0x0p+0},
+    {0x1.5cb9f68c7c5bfp-9, 0x1.0a27eea108aabp-6, 0x1.f020519071955p-12, 0x1.3d7faeb8d9fc8p-6, 0x0p+0},
+    {0x1.b0d017042883bp-4, 0x1.341bdd84bf9cfp-4, 0x1.b16dcbb575983p-6, 0x1.a8a3b3bb22c35p-3, 0x0p+0},
+    {0x1.83ed9d459a7b6p-7, 0x1.4155d07b29fe2p-7, 0x1.af0dfb2dea7a2p-10, 0x1.7d92969340e46p-6, 0x0p+0},
+    {0x1.4ddaa74dc17cep-6, 0x1.90c76bf2602ecp-5, 0x1.474cee92fa6c1p-6, 0x1.6dad9b715f11ap-4, 0x0p+0},
+    {0x1.eaf365dc77a22p-6, 0x1.fa0fbe51b88f2p-8, 0x1.1d73ccfb2d512p-12, 0x1.36f69252693d9p-5, 0x0p+0},
+};
+const PinnedCost kSeparateParagon[] = {
+    {0x1.57d5c57710eb8p-4, 0x1.3056fa766079fp-10, 0x1.b0c606092e7cep-4, 0x1.86ae93b50c752p-3, 0x1.86ae93b50c752p-3},
+    {0x1.b0c606092e7cep-5, 0x1.bef9a10a73b7dp-2, 0x1.1506f841c59d2p-4, 0x1.1d2a0fee05776p-1, 0x0p+0},
+    {0x1.84eab5ebdfb78p-6, 0x1.44f02844264dp-2, 0x1.24c32de799d7bp-10, 0x1.5e6396d0cbe25p-2, 0x0p+0},
+    {0x1.754b05b7cfe58p-9, 0x1.f1d0b0764cb35p-5, 0x1.16ebd4cfd08d5p-10, 0x1.08ee5fbc241bp-4, 0x0p+0},
+    {0x1.7d5fa72f84521p-4, 0x1.308ad8955c7b9p-2, 0x1.81a3d98e7c2f2p-6, 0x1.a7fcfffa2553p-2, 0x0p+0},
+    {0x1.71418bbb8a853p-7, 0x1.16d3622b40fc3p-5, 0x1.df68b0c381ca7p-10, 0x1.821f0aa03fabdp-5, 0x0p+0},
+    {0x1.330823735af9dp-6, 0x1.8827a0bf6f063p-3, 0x1.22a5d5a0694fep-6, 0x1.d2dd5fe1e78f7p-3, 0x0p+0},
+    {0x1.b3f8c0709df7dp-6, 0x1.c0ff6f5b86784p-6, 0x1.3deda158aabcp-12, 0x1.bcf7f328c38d8p-5, 0x0p+0},
+};
+const PinnedCost kSeparateSp[] = {
+    {0x1.eada78c455a9cp-4, 0x1.3056fa766079fp-10, 0x1.ec2a041ce3e05p-4, 0x1.ede2ec658986p-3, 0x1.eada78c455a9cp-4},
+    {0x1.ec2a041ce3e05p-5, 0x1.c3d81823b94cdp-4, 0x1.35e894100b8acp-4, 0x1.f7ead7211b63ep-3, 0x0p+0},
+    {0x1.b2bd570e03cecp-6, 0x1.475f63d0c9178p-4, 0x1.00b0ffe7ac4c2p-10, 0x1.b8117d93e8bc6p-4, 0x0p+0},
+    {0x1.5cb9f68c7c5bfp-9, 0x1.0a27eea108aabp-6, 0x1.f020519071955p-12, 0x1.3d7faeb8d9fc8p-6, 0x0p+0},
+    {0x1.b0d017042883bp-4, 0x1.341bdd84bf9cfp-4, 0x1.b16dcbb575983p-6, 0x1.a8a3b3bb22c35p-3, 0x0p+0},
+    {0x1.83ed9d459a7b6p-7, 0x1.4155d07b29fe2p-7, 0x1.af0dfb2dea7a2p-10, 0x1.7d92969340e46p-6, 0x0p+0},
+    {0x1.4ddaa74dc17cep-6, 0x1.90c76bf2602ecp-5, 0x1.474cee92fa6c1p-6, 0x1.6dad9b715f11ap-4, 0x0p+0},
+    {0x1.eaf365dc77a22p-6, 0x1.fa0fbe51b88f2p-8, 0x1.1d73ccfb2d512p-12, 0x1.36f69252693d9p-5, 0x0p+0},
+};
+const PinnedCost kCombinedParagon[] = {
+    {0x0p+0, 0x1.bef9a10a73b7dp-2, 0x1.1506f841c59d2p-4, 0x1.021daf8d728f9p-1, 0x1.86ae93b50c752p-3},
+    {0x1.84eab5ebdfb78p-6, 0x1.44f02844264dp-2, 0x1.24c32de799d7bp-10, 0x1.5e6396d0cbe25p-2, 0x0p+0},
+    {0x1.754b05b7cfe58p-9, 0x1.f1d0b0764cb35p-5, 0x1.16ebd4cfd08d5p-10, 0x1.08ee5fbc241bp-4, 0x0p+0},
+    {0x1.7d5fa72f84521p-4, 0x1.308ad8955c7b9p-2, 0x1.88319249433ffp-6, 0x1.a865db85d1c41p-2, 0x0p+0},
+    {0x1.71418bbb8a853p-7, 0x1.16d3622b40fc3p-5, 0x1.24221e37f96b9p-9, 0x1.8565e6fda3344p-5, 0x0p+0},
+    {0x1.82c9c9623427ap-7, 0x1.05c1165fabf4p-3, 0x1.7c2bf57c43727p-13, 0x1.1e4cbdf32e476p-3, 0x0p+0},
+};
+const PinnedCost kCombinedSp[] = {
+    {0x1.eada78c455a9cp-5, 0x1.c3d81823b94cdp-4, 0x1.35e894100b8acp-4, 0x1.f796f44af7d64p-3, 0x1.eada78c455a9cp-5},
+    {0x1.b2bd570e03cecp-6, 0x1.475f63d0c9178p-4, 0x1.00b0ffe7ac4c2p-10, 0x1.b8117d93e8bc6p-4, 0x0p+0},
+    {0x1.5cb9f68c7c5bfp-9, 0x1.0a27eea108aabp-6, 0x1.f020519071955p-12, 0x1.3d7faeb8d9fc8p-6, 0x0p+0},
+    {0x1.b0d017042883bp-4, 0x1.341bdd84bf9cfp-4, 0x1.b40ce26692055p-6, 0x1.a8f796914651p-3, 0x0p+0},
+    {0x1.83ed9d459a7b6p-7, 0x1.4155d07b29fe2p-7, 0x1.d8ff663fb14cp-10, 0x1.8031ad445d518p-6, 0x0p+0},
+    {0x1.97f7084d37c75p-7, 0x1.1061b1f3a6347p-5, 0x1.16b18ade46098p-13, 0x1.77762591d26c5p-5, 0x0p+0},
+};
+
+void expect_pinned(const PipelineSpec& spec, const MachineModel& machine,
+                   std::span<const PinnedCost> want) {
+  const std::vector<StageCost> got = CostModel(spec, machine).all();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(std::string(machine.name) + " " + task_name(got[i].kind));
+    EXPECT_EQ(got[i].receive, want[i].receive);
+    EXPECT_EQ(got[i].compute, want[i].compute);
+    EXPECT_EQ(got[i].send, want[i].send);
+    EXPECT_EQ(got[i].occupancy, want[i].occupancy);
+    EXPECT_EQ(got[i].io, want[i].io);
+  }
+}
+
+TEST(PinnedCosts, EmbeddedIo) {
+  const auto spec = PipelineSpec::embedded_io(paper_params(), kEmbeddedNodes);
+  expect_pinned(spec, paragon_like(16), kEmbeddedParagon);
+  expect_pinned(spec, sp_like(), kEmbeddedSp);
+}
+
+TEST(PinnedCosts, SeparateIo) {
+  const auto spec = PipelineSpec::separate_io(paper_params(), kSeparateNodes);
+  expect_pinned(spec, paragon_like(16), kSeparateParagon);
+  expect_pinned(spec, sp_like(), kSeparateSp);
+}
+
+TEST(PinnedCosts, Combined) {
+  const auto spec = PipelineSpec::combined(paper_params(), kCombinedNodes);
+  expect_pinned(spec, paragon_like(16), kCombinedParagon);
+  expect_pinned(spec, sp_like(), kCombinedSp);
+}
+
+TEST(PinnedCosts, SimRunnerMeasurements) {
+  const auto p = paper_params();
+  const PipelineSpec specs[] = {PipelineSpec::embedded_io(p, kEmbeddedNodes),
+                                PipelineSpec::separate_io(p, kSeparateNodes),
+                                PipelineSpec::combined(p, kCombinedNodes)};
+  // {throughput, latency}: per organization, paragon_like(16) then sp_like().
+  const double want[][2] = {
+      {0x1.fbcd82793637bp+0, 0x1.3351835ac5ab5p+0},
+      {0x1.0446806a8ad94p+2, 0x1.2933c694d91c7p-1},
+      {0x1.cba303485b3bap+0, 0x1.71ad8601b0b18p+0},
+      {0x1.041b2c92fb5bfp+2, 0x1.a4c17a63c4629p-1},
+      {0x1.fbcd827936379p+0, 0x1.0ef1e6669382p+0},
+      {0x1.0446806a8ad95p+2, 0x1.ff360a2059615p-2},
+  };
+  std::size_t row = 0;
+  for (const PipelineSpec& spec : specs) {
+    for (const MachineModel& machine : {paragon_like(16), sp_like()}) {
+      const SimResult r = SimRunner(spec, machine).run();
+      EXPECT_EQ(r.measured_throughput, want[row][0]) << row;
+      EXPECT_EQ(r.measured_latency, want[row][1]) << row;
+      ++row;
+    }
+  }
+}
+
+TEST(PinnedCosts, ProportionalAssignment) {
+  struct Row {
+    int total;
+    std::vector<int> embedded, separate, combined;
+  };
+  // The separate-I/O read task gets 3 dedicated nodes on top of `total`.
+  const Row rows[] = {
+      {7, {1, 1, 1, 1, 1, 1, 1}, {3, 1, 1, 1, 1, 1, 1, 1}, {2, 1, 1, 1, 1, 1}},
+      {25, {9, 2, 2, 5, 2, 4, 1}, {3, 9, 2, 2, 5, 2, 4, 1}, {10, 2, 2, 5, 2, 4}},
+      {50, {21, 4, 3, 9, 3, 8, 2}, {3, 21, 4, 3, 9, 3, 8, 2}, {22, 4, 3, 10, 3, 8}},
+      {100, {43, 8, 5, 19, 6, 15, 4}, {3, 43, 8, 5, 19, 6, 15, 4}, {45, 8, 5, 20, 6, 16}},
+  };
+  const auto nodes = [](const PipelineSpec& spec) {
+    std::vector<int> n;
+    for (const auto& t : spec.tasks) n.push_back(t.nodes);
+    return n;
+  };
+  const auto p = paper_params();
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.total);
+    EXPECT_EQ(nodes(proportional_assignment(p, r.total, IoStrategy::kEmbedded, false)),
+              r.embedded);
+    EXPECT_EQ(nodes(proportional_assignment(p, r.total, IoStrategy::kSeparateTask,
+                                            false, /*io_nodes=*/3)),
+              r.separate);
+    EXPECT_EQ(nodes(proportional_assignment(p, r.total, IoStrategy::kEmbedded, true)),
+              r.combined);
+  }
 }
 
 }  // namespace

@@ -896,7 +896,7 @@ TEST(Workload, CombinedTaskSumsFlopsButDropsIntermediateBytes) {
   const WorkloadModel wm(RadarParams::test_small());
   const auto pc = wm.pulse_compression();
   const auto cf = wm.cfar();
-  const auto both = wm.pulse_compression_cfar();
+  const auto both = merged(pc, cf);
   EXPECT_DOUBLE_EQ(both.flops, pc.flops + cf.flops);
   EXPECT_DOUBLE_EQ(both.in_bytes, pc.in_bytes);
   EXPECT_LT(both.out_bytes, pc.out_bytes);  // no intermediate array shipped
@@ -917,7 +917,7 @@ TEST(Workload, AllPositive) {
   for (const auto& tw :
        {wm.doppler(), wm.weights_easy(), wm.weights_hard(), wm.beamform_easy(),
         wm.beamform_hard(), wm.pulse_compression(), wm.cfar(),
-        wm.pulse_compression_cfar()}) {
+        merged(wm.pulse_compression(), wm.cfar())}) {
     EXPECT_GT(tw.flops, 0.0);
     EXPECT_GT(tw.in_bytes, 0.0);
     EXPECT_GT(tw.out_bytes, 0.0);
