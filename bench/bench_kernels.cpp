@@ -153,6 +153,27 @@ void BM_CubeUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_CubeUnpack);
 
+// Doppler filtering of that slab in the steady-state form a Doppler node
+// runs (process_into, output reused): M = 127, the Bluestein stagger-0
+// transform plus the stagger-1 hard-bin GEMM. BM_DopplerFilter runs at
+// M = 16 and never reaches Bluestein.
+void BM_DopplerFilterPaperSlab(benchmark::State& state) {
+  const RadarParams p = paper_doppler_slab();
+  DataCube cube(p.channels, p.pulses, p.ranges);
+  Rng rng(13);
+  for (auto& v : cube.flat()) v = rng.complex_normal();
+  DopplerFilter filter(p);
+  DopplerOutput out;
+  for (auto _ : state) {
+    filter.process_into(cube, out);
+    benchmark::DoNotOptimize(out.hard.flat().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p.cube_bytes()));
+}
+BENCHMARK(BM_DopplerFilterPaperSlab);
+
 void BM_CubePack(benchmark::State& state) {
   const RadarParams p = paper_doppler_slab();
   DataCube cube(p.channels, p.pulses, p.ranges);

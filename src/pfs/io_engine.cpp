@@ -16,6 +16,11 @@
 
 namespace pstap::pfs {
 
+SegmentFds::~SegmentFds() {
+  for (int fd : primary) ::close(fd);
+  for (int fd : replica) ::close(fd);
+}
+
 IoEngine::IoEngine(const PfsConfig& config)
     : bandwidth_(config.server_bandwidth),
       latency_(config.server_latency),
@@ -327,7 +332,7 @@ void IoEngine::service_loop(std::size_t server) {
     if (!job.chunk) {
       // Plain (unhedged) job: sole owner of its completion.
       if (!error) bytes_serviced_.fetch_add(total, std::memory_order_relaxed);
-      job.state->complete_one(error);
+      job.state->complete_one(std::move(error));
       continue;
     }
 
@@ -353,7 +358,7 @@ void IoEngine::service_loop(std::size_t server) {
     } else {
       const int left =
           job.chunk->outstanding.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      if (left == 0 && job.chunk->claim()) job.state->complete_one(error);
+      if (left == 0 && job.chunk->claim()) job.state->complete_one(std::move(error));
     }
   }
 }

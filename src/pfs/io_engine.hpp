@@ -89,6 +89,21 @@ class ChecksumCatalog {
   std::map<std::pair<std::uint64_t, std::uint64_t>, Entry> entries_;
 };
 
+/// The open segment descriptors of one striped file, indexed by stripe
+/// directory, closed when the last owner lets go. The file handle and every
+/// job queued for it share ownership, so a job still in service after its
+/// caller's wait() returned (the losing twin of a hedged chunk) never reads
+/// a descriptor that was closed, or reused for another file.
+struct SegmentFds {
+  std::vector<int> primary;
+  std::vector<int> replica;  ///< indexed by PRIMARY directory; may be empty
+
+  SegmentFds() = default;
+  ~SegmentFds();
+  SegmentFds(const SegmentFds&) = delete;
+  SegmentFds& operator=(const SegmentFds&) = delete;
+};
+
 namespace detail {
 /// Completion state shared between an IoRequest and its queued chunks.
 struct RequestState {
@@ -102,7 +117,7 @@ struct RequestState {
     std::lock_guard lock(mu);
     if (e) {
       ++errors;
-      if (!error) error = e;
+      if (!error) error = std::move(e);
     }
     if (--pending == 0) cv.notify_all();
   }
@@ -137,6 +152,8 @@ struct ChunkState {
 class IoRequest {
  public:
   IoRequest() = default;
+  IoRequest(IoRequest&&) noexcept = default;  // one handle consumes the error
+  IoRequest& operator=(IoRequest&&) noexcept = default;
 
   /// Block until every chunk is serviced, then release the request state;
   /// rethrows the first chunk error. Idempotent: calling it again — or on
@@ -147,7 +164,10 @@ class IoRequest {
     {
       std::unique_lock lock(state_->mu);
       state_->cv.wait(lock, [&] { return state_->pending == 0; });
-      error = state_->error;
+      // Moved out: the waiting thread holds the only reference, so the
+      // exception is freed where it is handled, not by whichever service or
+      // scheduler thread drops the last reference to this state.
+      error = std::move(state_->error);
       failed_chunks_ = state_->errors;
     }
     state_.reset();
@@ -222,6 +242,7 @@ class IoEngine {
   /// is paid once — the Ching et al. list-I/O effect).
   struct Job {
     int fd = -1;
+    std::shared_ptr<const SegmentFds> fds;  ///< keeps fd (and replica_fd) open
     bool is_write = false;
     std::vector<Piece> pieces;
     std::shared_ptr<detail::RequestState> state;

@@ -25,11 +25,10 @@ class StripedFileSystem;
 /// of the first task reads its own exclusive file region.
 class StripedFile {
  public:
-  StripedFile(StripedFile&&) noexcept;
-  StripedFile& operator=(StripedFile&&) noexcept;
+  StripedFile(StripedFile&&) noexcept = default;
+  StripedFile& operator=(StripedFile&&) noexcept = default;
   StripedFile(const StripedFile&) = delete;
   StripedFile& operator=(const StripedFile&) = delete;
-  ~StripedFile();
 
   const std::string& name() const noexcept { return name_; }
 
@@ -86,7 +85,7 @@ class StripedFile {
  private:
   friend class StripedFileSystem;
   StripedFile(StripedFileSystem* fs, std::string name, std::uint64_t file_id,
-              std::vector<int> segment_fds, std::vector<int> replica_fds);
+              std::shared_ptr<const SegmentFds> fds);
 
   /// Jobs for one logical request, accumulated before dispatch. With
   /// `coalesce` set (straggler scheduler on) chunks landing on the same
@@ -109,13 +108,12 @@ class StripedFile {
   IoRequest dispatch(Batch&& batch);
 
   IoRequest submit(std::uint64_t offset, std::byte* buf, std::size_t len, bool is_write);
-  bool replicated() const noexcept { return !replica_fds_.empty(); }
+  bool replicated() const noexcept { return !fds_->replica.empty(); }
 
   StripedFileSystem* fs_ = nullptr;
   std::string name_;
   std::uint64_t file_id_ = 0;
-  std::vector<int> segment_fds_;  // one per stripe directory
-  std::vector<int> replica_fds_;  // indexed by PRIMARY directory; may be empty
+  std::shared_ptr<const SegmentFds> fds_;  // shared with in-flight jobs
 };
 
 }  // namespace pstap::pfs

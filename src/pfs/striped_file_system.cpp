@@ -171,25 +171,21 @@ StripedFile StripedFileSystem::open(const std::string& name) {
     std::lock_guard lock(mu_);
     PSTAP_REQUIRE(catalog_.contains(name), "file does not exist: " + name);
   }
-  const auto open_all = [&](auto path_of, std::vector<int>& fds) {
-    fds.reserve(config_.stripe_factor);
+  // Owned from the first open on: a failure part-way closes what was opened.
+  auto fds = std::make_shared<SegmentFds>();
+  const auto open_all = [&](auto path_of, std::vector<int>& out) {
+    out.reserve(config_.stripe_factor);
     for (std::size_t d = 0; d < config_.stripe_factor; ++d) {
       const int fd = ::open(path_of(d).c_str(), O_RDWR | O_CREAT, 0644);
-      if (fd < 0) {
-        for (int f : fds) ::close(f);
-        PSTAP_IO_FAIL("cannot open segment of " + name, errno);
-      }
-      fds.push_back(fd);
+      if (fd < 0) PSTAP_IO_FAIL("cannot open segment of " + name, errno);
+      out.push_back(fd);
     }
   };
-  std::vector<int> fds;
-  open_all([&](std::size_t d) { return segment_path(name, d); }, fds);
-  std::vector<int> replica_fds;
+  open_all([&](std::size_t d) { return segment_path(name, d); }, fds->primary);
   if (config_.replicas > 1) {
-    open_all([&](std::size_t d) { return replica_path(name, d); }, replica_fds);
+    open_all([&](std::size_t d) { return replica_path(name, d); }, fds->replica);
   }
-  return StripedFile(this, name, file_id(name, /*fresh=*/false), std::move(fds),
-                     std::move(replica_fds));
+  return StripedFile(this, name, file_id(name, /*fresh=*/false), std::move(fds));
 }
 
 StripedFile StripedFileSystem::create(const std::string& name) {
@@ -255,39 +251,8 @@ void StripedFileSystem::remove(const std::string& name) {
 // ---------------------------------------------------------- StripedFile --
 
 StripedFile::StripedFile(StripedFileSystem* fs, std::string name, std::uint64_t file_id,
-                         std::vector<int> segment_fds, std::vector<int> replica_fds)
-    : fs_(fs), name_(std::move(name)), file_id_(file_id),
-      segment_fds_(std::move(segment_fds)), replica_fds_(std::move(replica_fds)) {}
-
-StripedFile::StripedFile(StripedFile&& other) noexcept
-    : fs_(other.fs_), name_(std::move(other.name_)), file_id_(other.file_id_),
-      segment_fds_(std::move(other.segment_fds_)),
-      replica_fds_(std::move(other.replica_fds_)) {
-  other.segment_fds_.clear();
-  other.replica_fds_.clear();
-  other.fs_ = nullptr;
-}
-
-StripedFile& StripedFile::operator=(StripedFile&& other) noexcept {
-  if (this != &other) {
-    for (int fd : segment_fds_) ::close(fd);
-    for (int fd : replica_fds_) ::close(fd);
-    fs_ = other.fs_;
-    name_ = std::move(other.name_);
-    file_id_ = other.file_id_;
-    segment_fds_ = std::move(other.segment_fds_);
-    replica_fds_ = std::move(other.replica_fds_);
-    other.segment_fds_.clear();
-    other.replica_fds_.clear();
-    other.fs_ = nullptr;
-  }
-  return *this;
-}
-
-StripedFile::~StripedFile() {
-  for (int fd : segment_fds_) ::close(fd);
-  for (int fd : replica_fds_) ::close(fd);
-}
+                         std::shared_ptr<const SegmentFds> fds)
+    : fs_(fs), name_(std::move(name)), file_id_(file_id), fds_(std::move(fds)) {}
 
 std::uint64_t StripedFile::size() const { return fs_->catalog_size(name_); }
 
@@ -312,6 +277,7 @@ void StripedFile::append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf
     }
     IoEngine::Job job;
     job.fd = fd;
+    job.fds = fds_;
     job.is_write = is_write;
     job.pieces.push_back(piece);
     job.checksums = checksums;
@@ -340,15 +306,15 @@ void StripedFile::append_jobs(Batch& batch, std::uint64_t offset, std::byte* buf
       // this unit from its replica. The checksum catalog still applies —
       // both copies carry identical unit contents. No hedge target: the
       // other copy is exactly the quarantined server.
-      append(replica_dir, replica_fds_[dir], piece, &fs_->checksums_,
+      append(replica_dir, fds_->replica[dir], piece, &fs_->checksums_,
              /*replica_fd=*/-1, /*replica_server=*/0);
     } else {
-      const int replica_fd = (!is_write && replicated()) ? replica_fds_[dir] : -1;
-      append(dir, segment_fds_[dir], piece, &fs_->checksums_, replica_fd,
+      const int replica_fd = (!is_write && replicated()) ? fds_->replica[dir] : -1;
+      append(dir, fds_->primary[dir], piece, &fs_->checksums_, replica_fd,
              replica_dir);
       if (is_write && replicated()) {
         // The primary write records the CRC; the mirror only lands bytes.
-        append(replica_dir, replica_fds_[dir], piece, /*checksums=*/nullptr,
+        append(replica_dir, fds_->replica[dir], piece, /*checksums=*/nullptr,
                /*replica_fd=*/-1, /*replica_server=*/0);
       }
     }

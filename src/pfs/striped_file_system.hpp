@@ -88,13 +88,16 @@ class StripedFileSystem {
 
   std::filesystem::path root_;
   PfsConfig config_;
-  std::unique_ptr<IoEngine> engine_;
   ChecksumCatalog checksums_;
 
   mutable std::mutex mu_;
   std::map<std::string, std::uint64_t> catalog_;   // name -> logical size
   std::map<std::string, std::uint64_t> file_ids_;  // name -> stable id
   std::uint64_t next_file_id_ = 1;
+
+  // Declared last, so destroyed (its service threads joined) first: a job
+  // still in service at unmount reads checksums_.
+  std::unique_ptr<IoEngine> engine_;
 };
 
 }  // namespace pstap::pfs

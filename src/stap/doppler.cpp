@@ -34,6 +34,22 @@ DopplerFilter::DopplerFilter(const RadarParams& params)
   hard_slot_.assign(m, SIZE_MAX);
   for (std::size_t i = 0; i < easy_ids.size(); ++i) easy_slot_[easy_ids[i]] = i;
   for (std::size_t i = 0; i < hard_ids.size(); ++i) hard_slot_[hard_ids[i]] = i;
+
+  // Stagger-1 DFT rows, window folded in: A(i, q) = window[q] *
+  // exp(-2 pi i * hard_bin[i] * q / m), in double (the phase index reduced
+  // mod m first) and rounded once to float.
+  hard_dft_re_.resize(hard_ids.size() * m);
+  hard_dft_im_.resize(hard_ids.size() * m);
+  for (std::size_t i = 0; i < hard_ids.size(); ++i) {
+    for (std::size_t q = 0; q < m; ++q) {
+      const double phase = -2.0 * std::numbers::pi *
+                           static_cast<double>((hard_ids[i] * q) % m) /
+                           static_cast<double>(m);
+      const double w = window_[q];
+      hard_dft_re_[i * m + q] = static_cast<float>(w * std::cos(phase));
+      hard_dft_im_[i * m + q] = static_cast<float>(w * std::sin(phase));
+    }
+  }
 }
 
 DopplerOutput DopplerFilter::process(const DataCube& cube) const {
@@ -60,56 +76,58 @@ void DopplerFilter::process_into(const DataCube& cube, DopplerOutput& out) const
     out.hard = BinArray(out.hard_bin_ids.size(), params_.hard_dof(), nr);
   }
 
-  // Lane budget: R adjacent range gates per block, both staggers as lanes
-  // (lane l < R is stagger 0 at gate r0+l, lane R+l is stagger 1), so one
-  // SoA transform covers 2R series. Doppler FFTs are short (m = pulses - 1),
-  // so the block is kept much wider than kBatchLanes: the SoA planes stay
-  // small (m * 2R floats) while every SIMD call runs long enough to amortize
-  // its dispatch. 2R = 64 lanes -> 8 AVX2 iterations per butterfly row.
-  constexpr std::size_t kRangesPerBlock = 32;
-  re_.resize(m * 2 * kRangesPerBlock);
-  im_.resize(m * 2 * kRangesPerBlock);
+  if (nr == 0) return;
 
+  // Stagger 0, every bin: blocks of R adjacent range gates become the R
+  // lanes of one SoA transform. Doppler FFTs are short (m = pulses - 1), so
+  // the block is kept much wider than kBatchLanes: the SoA planes stay small
+  // (m * R floats) while every SIMD call runs long enough to amortize its
+  // dispatch. R = 64 lanes -> 8 AVX2 iterations per butterfly row.
+  constexpr std::size_t kRangesPerBlock = 64;
+  re_.resize(m * kRangesPerBlock);
+  im_.resize(m * kRangesPerBlock);
+
+  const simd::Ops& vec = simd::ops();
+  const std::size_t nh = out.hard_bin_ids.size();
   for (std::size_t c = 0; c < ch; ++c) {
     for (std::size_t r0 = 0; r0 < nr; r0 += kRangesPerBlock) {
       const std::size_t R = std::min(kRangesPerBlock, nr - r0);
-      const std::size_t L = 2 * R;
 
       // Windowed gather: pulse rows of the cube are range-contiguous, so
-      // each plane row is two SIMD deinterleave+window passes (one per
-      // stagger) over contiguous complex data.
-      const simd::Ops& vec = simd::ops();
+      // each plane row is one SIMD deinterleave+window pass over contiguous
+      // complex data.
       for (std::size_t p = 0; p < m; ++p) {
-        const float w = window_[p];
-        const float* row0 = reinterpret_cast<const float*>(&cube.at(c, p, r0));
-        const float* row1 = reinterpret_cast<const float*>(&cube.at(c, p + 1, r0));
-        float* rk = re_.data() + p * L;
-        float* ik = im_.data() + p * L;
-        vec.deinterleave_scale(rk, ik, row0, w, R);
-        vec.deinterleave_scale(rk + R, ik + R, row1, w, R);
+        const float* row = reinterpret_cast<const float*>(&cube.at(c, p, r0));
+        vec.deinterleave_scale(re_.data() + p * R, im_.data() + p * R, row,
+                               window_[p], R);
       }
 
-      plan_.transform_soa(std::span<float>(re_.data(), m * L),
-                          std::span<float>(im_.data(), m * L), L,
+      plan_.transform_soa(std::span<float>(re_.data(), m * R),
+                          std::span<float>(im_.data(), m * R), R,
                           fft::Direction::kForward, scratch_);
 
-      // Route bins: hard bins take both staggers, easy bins stagger 0 only.
-      // Each route is one SIMD re-interleave of a plane row into the output.
+      // Route bins: hard bins take the stagger-0 half of their DOF, easy
+      // bins all of it. Each route is one SIMD re-interleave of a plane row.
       for (std::size_t b = 0; b < m; ++b) {
-        const float* rk = re_.data() + b * L;
-        const float* ik = im_.data() + b * L;
-        if (hard_slot_[b] != SIZE_MAX) {
-          const std::size_t i = hard_slot_[b];
-          float* d0 = reinterpret_cast<float*>(&out.hard.at(i, c, r0));
-          float* d1 = reinterpret_cast<float*>(&out.hard.at(i, ch + c, r0));
-          vec.interleave(d0, rk, ik, R);
-          vec.interleave(d1, rk + R, ik + R, R);
-        } else {
-          float* d0 = reinterpret_cast<float*>(&out.easy.at(easy_slot_[b], c, r0));
-          vec.interleave(d0, rk, ik, R);
-        }
+        cfloat* dst = hard_slot_[b] != SIZE_MAX ? &out.hard.at(hard_slot_[b], c, r0)
+                                                : &out.easy.at(easy_slot_[b], c, r0);
+        vec.interleave(reinterpret_cast<float*>(dst), re_.data() + b * R,
+                       im_.data() + b * R, R);
       }
     }
+
+    // Stagger 1 feeds the hard bins only, so it is a windowed DFT of just
+    // those nh bins rather than a full transform: one GEMM per channel,
+    // C(nh x nr) = A(nh x m) * (pulse rows 1..m), reading B in place from
+    // the cube (rows nr apart) and writing C in place into the hard DOF rows
+    // ch + c (rows 2 * ch * nr apart). The kernel accumulates into C.
+    for (std::size_t i = 0; i < nh; ++i) {
+      const auto dst = out.hard.range_series(i, ch + c);
+      std::fill(dst.begin(), dst.end(), cfloat{});
+    }
+    vec.cgemm_planar(reinterpret_cast<float*>(&out.hard.at(0, ch + c, 0)),
+                     2 * ch * nr, hard_dft_re_.data(), hard_dft_im_.data(), nh, m,
+                     reinterpret_cast<const float*>(&cube.at(c, 1, 0)), nr, nr);
   }
 }
 

@@ -5,11 +5,14 @@
 // spectrum only (channels DOF); hard bins stack both staggers (2*channels
 // DOF) for the adaptive clutter cancellation downstream.
 //
-// The transform is batched: blocks of adjacent range gates are gathered
-// (with the window fused in) into SoA planes — both staggers as lanes of
-// one plane — and run through FftPlan::transform_soa, so the butterflies
+// Stagger 0 needs every bin, so it goes through the FFT, batched: blocks of
+// adjacent range gates are gathered (with the window fused in) into SoA
+// planes and run through FftPlan::transform_soa, so the butterflies
 // vectorize across range gates instead of dispatching one strided FFT per
-// (channel, range).
+// (channel, range). Stagger 1 is only kept for the few hard bins, so it is
+// a windowed DFT of just those bins: one complex GEMM per channel against a
+// precomputed (hard bins x M) matrix, reading the cube and writing the
+// output in place.
 #pragma once
 
 #include <vector>
@@ -55,9 +58,13 @@ class DopplerFilter {
   std::vector<std::size_t> easy_slot_;
   std::vector<std::size_t> hard_slot_;
 
+  // Stagger-1 hard-bin DFT matrix, window folded in, planar:
+  // (hard bins x M), element (i, q) at [i * M + q].
+  AlignedVector<float> hard_dft_re_, hard_dft_im_;
+
   // Per-instance transform workspace (grown once, then reused). Aligned so
   // the SIMD butterflies never split cache lines.
-  mutable AlignedVector<float> re_, im_;  // SoA planes, M x kBatchLanes
+  mutable AlignedVector<float> re_, im_;  // SoA planes, M x range block
   mutable fft::BatchScratch scratch_;
 };
 

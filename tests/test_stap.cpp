@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/cmatrix.hpp"
@@ -409,6 +411,8 @@ TEST(Doppler, OutputShapesMatchParams) {
   EXPECT_EQ(out.easy.ranges(), 17u);
   EXPECT_EQ(out.hard.bins(), p.hard_bin_count());
   EXPECT_EQ(out.hard.dof(), 2 * p.channels);
+  const DopplerOutput empty = filt.process(DataCube(p.channels, p.pulses, 0));
+  EXPECT_EQ(empty.hard.ranges(), 0u);
 }
 
 TEST(Doppler, ProcessIntoReusesArraysAndMatchesProcess) {
@@ -1283,6 +1287,81 @@ TEST(StapChain, CfarDetectionsIdenticalAcrossSimdBackends) {
       EXPECT_EQ(got[i].bin, ref[i].bin) << simd::backend_name(b) << " i=" << i;
       EXPECT_EQ(got[i].beam, ref[i].beam);
       EXPECT_EQ(got[i].range, ref[i].range);
+    }
+  }
+}
+
+// Stagger 1 of the hard bins is a windowed DFT computed as one GEMM per
+// channel, not a transform. Checks it against a double-precision direct DFT
+// of window[q] * x[q + 1], next to the error of the FFT path that used to
+// compute it: the same pulses shifted one PRI earlier and run through
+// stagger 0 of the same filter.
+struct StaggerOneErrors {
+  double gemm = 0, fft = 0, peak = 0;
+};
+
+StaggerOneErrors hard_stagger_one_errors(const RadarParams& p, std::size_t ranges) {
+  const std::size_t m = p.doppler_bins();
+  Rng rng(1000 + ranges);
+  DataCube cube(p.channels, p.pulses, ranges);
+  for (auto& v : cube.flat()) v = rng.complex_normal();
+  DataCube shifted(p.channels, p.pulses, ranges);
+  for (std::size_t c = 0; c < p.channels; ++c)
+    for (std::size_t q = 0; q < m; ++q)
+      for (std::size_t r = 0; r < ranges; ++r) shifted.at(c, q, r) = cube.at(c, q + 1, r);
+
+  DopplerFilter filt(p);
+  const DopplerOutput out = filt.process(cube);
+  const DopplerOutput via_fft = filt.process(shifted);
+  const auto& w = filt.window();
+  StaggerOneErrors e;
+  std::vector<std::complex<double>> dft(m);
+  for (std::size_t i = 0; i < out.hard_bin_ids.size(); ++i) {
+    for (std::size_t q = 0; q < m; ++q) {
+      dft[q] = static_cast<double>(w[q]) *
+               std::polar(1.0, -2.0 * std::numbers::pi *
+                                   static_cast<double>((out.hard_bin_ids[i] * q) % m) /
+                                   static_cast<double>(m));
+    }
+    for (std::size_t c = 0; c < p.channels; ++c) {
+      for (std::size_t r = 0; r < ranges; ++r) {
+        std::complex<double> want = 0.0;
+        for (std::size_t q = 0; q < m; ++q) {
+          want += dft[q] * std::complex<double>(cube.at(c, q + 1, r));
+        }
+        const std::complex<double> gemm = out.hard.at(i, p.channels + c, r);
+        const std::complex<double> fft = via_fft.hard.at(i, c, r);
+        e.gemm = std::max(e.gemm, std::abs(gemm - want));
+        e.fft = std::max(e.fft, std::abs(fft - want));
+        e.peak = std::max(e.peak, std::abs(want));
+      }
+    }
+  }
+  return e;
+}
+
+TEST(Doppler, HardStaggerOneMatchesDirectDft) {
+  // test_small (M = 16, radix-2 stagger 0) and the paper's M = 127
+  // (Bluestein). Slab widths: 42/43 are test_small's three-Doppler-node
+  // split, 20 is below one 64-gate block, 43 and 130 leave a column tail in
+  // the GEMM kernel's 4-column blocks, 512 is the paper's Doppler slab.
+  // A direct sum rounds at every one of its M terms, an FFT at log2 of its
+  // length, so the GEMM's max abs error runs 0.9-2.2x the FFT path's here;
+  // both stay under 1e-6 of the peak, and a dropped window or a wrong pulse
+  // row misses by the size of the signal itself.
+  SimdBackendGuard guard;
+  for (const RadarParams& p : {RadarParams::test_small(), RadarParams{}}) {
+    for (std::size_t ranges : {42u, 43u, 20u, 130u, 512u}) {
+      for (simd::Backend b : simd_backends()) {
+        simd::force_backend(b);
+        const StaggerOneErrors e = hard_stagger_one_errors(p, ranges);
+        const std::string where = std::string(simd::backend_name(b)) +
+                                  " M=" + std::to_string(p.doppler_bins()) +
+                                  " ranges=" + std::to_string(ranges);
+        EXPECT_GT(e.peak, 1.0) << where;
+        EXPECT_LT(e.gemm, 1e-6 * e.peak) << where;
+        EXPECT_LE(e.gemm, 3.0 * e.fft) << where;
+      }
     }
   }
 }
