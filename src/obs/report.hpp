@@ -106,7 +106,7 @@ struct RunReport {
     int total_nodes = 0;
     bool pin_threads = false;
     bool numa_interleave = false;
-    int straggler_servers = 0;       ///< sim: slowed I/O servers
+    int straggler_servers = 0;       ///< emulated slow I/O servers
     double straggler_slowdown = 1.0;
   };
   Config config;

@@ -61,28 +61,18 @@ struct PfsConfig {
   // The adaptive client-side scheduler: per-server quantile deadlines,
   // queue reordering/stealing, hedged replica reads, and per-server
   // list-I/O coalescing. OFF by default so the paper's baseline shapes
-  // (stripe-sweep bottleneck, straggler degradation curve) are preserved;
-  // the environment variable PSTAP_STRAGGLER_SCHED overrides this flag at
-  // mount time ("0"/"off" forces it off, anything else forces it on).
+  // (stripe-sweep bottleneck, straggler degradation curve) are preserved.
+  // Its quantile, multipliers and scan tick are constants of the scheduler
+  // (straggler_scheduler.cpp); only the warm-up settings below stay
+  // configurable, because short runs (the straggler ablation bench, the
+  // scheduler tests) lower them so the scheduler warms up within the run.
 
   /// Master switch for the straggler-aware scheduler (deadlines, queue
-  /// reorder/steal, list-I/O coalescing of multi-chunk requests).
+  /// reorder/steal, list-I/O coalescing of multi-chunk requests). With
+  /// replicas == 2 it also hedges: a read chunk that outlives its quantile
+  /// deadline gets a backup read on the replica server, and the first
+  /// completion wins.
   bool straggler_sched = false;
-
-  /// Hedged (speculative) reads: when a chunk outlives its quantile
-  /// deadline and a replica exists, launch a backup read against the
-  /// replica server and take the first completion. Only effective with
-  /// straggler_sched on and replicas == 2.
-  bool hedged_reads = true;
-
-  /// Per-server service-time quantile feeding chunk deadlines (p99 by
-  /// default, per Tavakoli-style client-side scheduling).
-  double deadline_quantile = 0.99;
-
-  /// Chunk deadline = hedge_multiplier x the healthy-server quantile (the
-  /// median across servers, so one straggler cannot inflate its own
-  /// deadline and dodge hedging).
-  double hedge_multiplier = 2.0;
 
   /// Deadline floor while histograms warm up (and the minimum hedge wait).
   Seconds deadline_floor = 2e-3;
@@ -91,17 +81,10 @@ struct PfsConfig {
   /// trusted; cold servers fall back to the floor.
   std::size_t deadline_min_samples = 16;
 
-  /// Scheduler scan period (hedge launches, queue reorder, stealing).
-  Seconds sched_tick = 5e-4;
-
   /// Rolling-quantile window: the scheduler re-baselines its per-server
   /// histogram deltas this often, so a recovered server sheds its slow
   /// history instead of dragging it forever.
   Seconds sched_window = 250e-3;
-
-  /// A server is "slow" (steal candidate) when its rolling p50 exceeds
-  /// steal_factor x the healthy median p50.
-  double steal_factor = 2.0;
 
   // Built-in straggler *emulation* for benches/tests — the functional twin
   // of sim::MachineModel::straggler_{servers,slowdown}: the first
@@ -112,10 +95,6 @@ struct PfsConfig {
   std::size_t straggler_servers = 0;
   double straggler_slowdown = 1.0;
 };
-
-/// Apply the PSTAP_STRAGGLER_SCHED environment override (if set) to
-/// `config.straggler_sched`. Called by StripedFileSystem at mount.
-void apply_env_overrides(PfsConfig& config);
 
 /// Paragon-PFS-like presets used throughout tests and benches.
 PfsConfig paragon_pfs(std::size_t stripe_factor);

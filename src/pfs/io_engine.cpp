@@ -81,15 +81,15 @@ IoRequest IoEngine::make_request(std::size_t chunks) {
   return IoRequest(std::move(state));
 }
 
-void IoEngine::submit(std::size_t server, Job job, bool front) {
+void IoEngine::submit(std::size_t server, Job job) {
   if (scheduler_ && !job.is_hedge) {
     job.server = server;
-    job.deadline = scheduler_->assign_deadline(server);
+    job.deadline = scheduler_->assign_deadline();
     // Hedge-capable read: the scheduler watches it and may race a replica
     // copy against it once it outlives its quantile deadline.
     if (job.chunk && job.replica_fd >= 0) scheduler_->track(job);
   }
-  enqueue(server, std::move(job), front);
+  enqueue(server, std::move(job), /*front=*/false);
 }
 
 void IoEngine::enqueue(std::size_t server, Job job, bool front) {

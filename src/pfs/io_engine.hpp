@@ -8,7 +8,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -23,7 +22,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/retry.hpp"
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -174,15 +173,6 @@ class IoRequest {
     if (error) std::rethrow_exception(error);
   }
 
-  /// Bounded wait: true when every chunk completed within `timeout`. Does
-  /// not consume the request or its errors — follow up with wait().
-  bool wait_for(Seconds timeout) const {
-    if (!state_) return true;
-    std::unique_lock lock(state_->mu);
-    return state_->cv.wait_for(lock, std::chrono::duration<double>(timeout),
-                               [&] { return state_->pending == 0; });
-  }
-
   /// Nonblocking completion poll (does not consume errors; call wait()).
   bool done() const {
     if (!state_) return true;
@@ -190,9 +180,11 @@ class IoRequest {
     return state_->pending == 0;
   }
 
-  /// Chunk failures observed by the last consuming wait() on this handle.
-  /// wait() rethrows only the first error; the rest are counted here so
-  /// multi-chunk failures are never silently swallowed.
+  /// Failed jobs observed by the last consuming wait() on this handle: one
+  /// per chunk on the per-chunk path, but one per server when the
+  /// straggler scheduler coalesces a request into list-I/O jobs. wait()
+  /// rethrows only the first error; the rest are counted here so
+  /// multi-job failures are never silently swallowed.
   std::size_t failed_chunks() const noexcept { return failed_chunks_; }
 
  private:
@@ -202,20 +194,6 @@ class IoRequest {
   std::shared_ptr<detail::RequestState> state_;
   std::size_t failed_chunks_ = 0;
 };
-
-/// Wait for `req` with a per-request bound. Chunks hold raw pointers into
-/// the caller's buffer, so an expired request cannot be abandoned: on
-/// timeout the request is drained (full wait) and TimeoutError is raised —
-/// unless draining surfaces the chunks' own error, which takes precedence.
-inline void wait_with_timeout(IoRequest& req, Seconds timeout,
-                              const std::string& what) {
-  if (timeout <= 0 || req.wait_for(timeout)) {
-    req.wait();
-    return;
-  }
-  req.wait();  // drain; rethrows a chunk error if one arrived while late
-  throw TimeoutError(what + ": I/O request exceeded timeout");
-}
 
 /// Pool of per-stripe-directory service threads with optional bandwidth
 /// throttling.
@@ -280,10 +258,9 @@ class IoEngine {
   /// Create a request expecting `chunks` completions.
   IoRequest make_request(std::size_t chunks);
 
-  /// Enqueue one job on stripe-directory `server`'s queue. `front` pushes
-  /// to the head of the queue (hedge backups jump the line so the race is
-  /// against service time, not queue depth).
-  void submit(std::size_t server, Job job, bool front = false);
+  /// Enqueue one job at the tail of stripe-directory `server`'s queue,
+  /// with a deadline and hedge tracking when the scheduler is on.
+  void submit(std::size_t server, Job job);
 
   /// Total bytes serviced so far (reads + writes), for tests/benches.
   /// Hedge losers are excluded: a chunk's bytes count exactly once.
@@ -383,7 +360,9 @@ class IoEngine {
 
   /// submit() minus deadline assignment and hedge tracking — the raw
   /// enqueue used by the scheduler for hedge twins and stolen jobs (which
-  /// must not be re-tracked or re-deadlined).
+  /// must not be re-tracked or re-deadlined). `front` pushes to the head of
+  /// the queue (hedge backups jump the line so the race is against service
+  /// time, not queue depth).
   void enqueue(std::size_t server, Job job, bool front);
 
   void service_loop(std::size_t server);

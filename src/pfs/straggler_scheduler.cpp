@@ -9,6 +9,17 @@
 namespace pstap::pfs {
 
 namespace {
+/// Per-server service-time quantile feeding chunk deadlines (p99, per
+/// Tavakoli-style client-side scheduling).
+constexpr double kDeadlineQuantile = 0.99;
+/// Chunk deadline = kHedgeMultiplier x the healthy-server quantile.
+constexpr double kHedgeMultiplier = 2.0;
+/// A server is "slow" (steal candidate) when its rolling p50 exceeds
+/// kStealFactor x the healthy median p50.
+constexpr double kStealFactor = 2.0;
+/// Scan period: hedge launches, steals and the EDF reorder.
+constexpr Seconds kSchedTick = 5e-4;
+
 /// Median of an unsorted sample (destructive). Returns 0 when empty.
 double median(std::vector<double>& v) {
   if (v.empty()) return 0.0;
@@ -36,7 +47,7 @@ StragglerScheduler::~StragglerScheduler() {
   thread_.join();
 }
 
-Seconds StragglerScheduler::assign_deadline(std::size_t /*server*/) const {
+Seconds StragglerScheduler::assign_deadline() const {
   const double budget = budget_.load(std::memory_order_relaxed);
   if (budget <= 0) return 0;  // quantiles still cold: no deadline yet
   return monotonic_now() + budget;
@@ -50,13 +61,13 @@ void StragglerScheduler::track(const IoEngine::Job& job) {
 void StragglerScheduler::run() {
   std::unique_lock lock(stop_mu_);
   for (;;) {
-    stop_cv_.wait_for(lock, std::chrono::duration<double>(cfg_.sched_tick),
+    stop_cv_.wait_for(lock, std::chrono::duration<double>(kSchedTick),
                       [&] { return stop_; });
     if (stop_) return;
     lock.unlock();
     const Seconds now = monotonic_now();
     refresh_quantiles(now);
-    if (cfg_.hedged_reads) hedge_scan(now);
+    hedge_scan(now);
     steal_scan();
     reorder_queues();
     lock.lock();
@@ -100,7 +111,7 @@ void StragglerScheduler::refresh_quantiles(Seconds now) {
     // previous estimate instead of flapping back to "cold".
     if (total >= cfg_.deadline_min_samples) {
       w.p50 = window_quantile(w, 0.50);
-      w.pq = window_quantile(w, cfg_.deadline_quantile);
+      w.pq = window_quantile(w, kDeadlineQuantile);
     }
     if (w.pq > 0) {
       p50s.push_back(w.p50);
@@ -115,13 +126,12 @@ void StragglerScheduler::refresh_quantiles(Seconds now) {
   // let set the bar).
   const double healthy_pq = median(pqs);
   const double healthy_p50 = median(p50s);
-  budget_.store(std::max(cfg_.deadline_floor, cfg_.hedge_multiplier * healthy_pq),
+  budget_.store(std::max(cfg_.deadline_floor, kHedgeMultiplier * healthy_pq),
                 std::memory_order_relaxed);
-  healthy_p50_.store(healthy_p50, std::memory_order_relaxed);
   for (std::size_t s = 0; s < n; ++s) {
     slow_[s] = engine_.quarantined(s) ||
                (windows_[s].pq > 0 && healthy_p50 > 0 &&
-                windows_[s].p50 > cfg_.steal_factor * healthy_p50);
+                windows_[s].p50 > kStealFactor * healthy_p50);
   }
 }
 

@@ -8,16 +8,16 @@
 //     (bucket-count deltas against a baseline re-taken every
 //     `sched_window`), so a recovered server sheds its slow history;
 //   * quantile deadlines — every submitted job gets an absolute deadline
-//     of now + max(floor, hedge_multiplier x healthy p-quantile), where
-//     "healthy" is the MEDIAN across servers — a straggler cannot
-//     inflate its own deadline and dodge the defense;
+//     of now + max(deadline_floor, 2 x healthy p99), where "healthy" is
+//     the MEDIAN across servers — a straggler cannot inflate its own
+//     deadline and dodge the defense;
 //   * hedged reads — a hedge-capable job (read with a replica) that
 //     outlives its service budget gets a speculative twin submitted to
 //     the FRONT of the replica server's queue; first completion wins the
 //     chunk claim, the loser is discarded without touching user memory,
 //     metrics, or the checksum catalog (see detail::ChunkState);
 //   * queue stealing — jobs still QUEUED on a slow server (rolling p50 >
-//     steal_factor x healthy p50, or quarantined) are moved to the
+//     2 x healthy p50, or quarantined) are moved to the
 //     replica server's queue, fd swapped to the replica copy;
 //   * EDF reorder — queues are kept sorted by deadline, so stolen jobs
 //     (carrying old deadlines) drain ahead of the fast server's fresh
@@ -45,19 +45,15 @@ class StragglerScheduler {
   StragglerScheduler(const StragglerScheduler&) = delete;
   StragglerScheduler& operator=(const StragglerScheduler&) = delete;
 
-  /// Absolute deadline for a job submitted to `server` now: monotonic now
-  /// plus the current healthy-quantile budget. Called from IoEngine::submit.
-  Seconds assign_deadline(std::size_t server) const;
+  /// Absolute deadline for a job submitted now: monotonic now plus the
+  /// current healthy-quantile budget (0 while the quantiles are cold).
+  /// Called from IoEngine::submit.
+  Seconds assign_deadline() const;
 
   /// Register a hedge-capable job (read, replica available): the scan loop
   /// watches its ChunkState and may launch a backup. Copies the job (the
   /// copy shares the request/chunk state and points at the same pieces).
   void track(const IoEngine::Job& job);
-
-  /// Current per-chunk service budget (test/bench introspection).
-  Seconds current_budget() const {
-    return budget_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Tracked {
@@ -70,7 +66,7 @@ class StragglerScheduler {
     std::array<std::uint64_t, obs::Histogram::kBuckets> delta{};
     std::uint64_t samples = 0;
     double p50 = 0.0;
-    double pq = 0.0;  ///< config.deadline_quantile
+    double pq = 0.0;  ///< kDeadlineQuantile
   };
 
   void run();
@@ -86,7 +82,6 @@ class StragglerScheduler {
   std::vector<Window> windows_;
   Seconds last_rebaseline_ = 0;
   std::atomic<double> budget_{0.0};       ///< hedge/deadline budget, seconds
-  std::atomic<double> healthy_p50_{0.0};  ///< steal threshold base
   std::vector<bool> slow_;                ///< per-server steal verdict
 
   std::mutex tracked_mu_;

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -33,13 +32,6 @@ PfsConfig paragon_pfs(std::size_t stripe_factor) {
   return cfg;
 }
 
-void apply_env_overrides(PfsConfig& config) {
-  if (const char* env = std::getenv("PSTAP_STRAGGLER_SCHED")) {
-    const std::string v = env;
-    config.straggler_sched = !(v == "0" || v == "off" || v == "OFF");
-  }
-}
-
 PfsConfig piofs(std::size_t stripe_factor) {
   PfsConfig cfg;
   cfg.name = "piofs-sf" + std::to_string(stripe_factor);
@@ -51,7 +43,6 @@ PfsConfig piofs(std::size_t stripe_factor) {
 
 StripedFileSystem::StripedFileSystem(fs::path root, PfsConfig config)
     : root_(std::move(root)), config_(std::move(config)) {
-  apply_env_overrides(config_);
   PSTAP_REQUIRE(config_.stripe_factor >= 1, "stripe factor must be >= 1");
   PSTAP_REQUIRE(config_.stripe_unit >= 1, "stripe unit must be >= 1 byte");
   PSTAP_REQUIRE(config_.replicas >= 1 && config_.replicas <= 2,
@@ -327,7 +318,7 @@ IoRequest StripedFile::dispatch(Batch&& batch) {
   // Pending completions = jobs (with coalescing, one per touched server),
   // not chunks: a list job completes its request slot once.
   IoRequest req = fs_->engine().make_request(batch.jobs.size());
-  const bool hedgeable = fs_->config().straggler_sched && fs_->config().hedged_reads;
+  const bool hedgeable = fs_->config().straggler_sched;
   for (IoEngine::Job& job : batch.jobs) {
     job.state = req.state_;
     if (hedgeable && !job.is_write && job.replica_fd >= 0) {

@@ -342,6 +342,23 @@ std::vector<pfs::StripedFile> open_round_robin(const NodeCtx& ctx) {
   return files;
 }
 
+/// Run one slab read under opt.io_retry; `attempt` issues the read and
+/// waits for it. Transient failures are retried by reissuing the whole
+/// read (failed chunk buffers cannot be salvaged piecemeal). When the error
+/// is permanent or attempts are exhausted, `buf` is zero-filled and `cpi`
+/// marked dropped: graceful degradation, since a throwing node would wedge
+/// every peer in World::run.
+template <typename Attempt>
+void read_or_drop(const NodeCtx& ctx, int cpi, const std::string& what,
+                  std::span<cfloat> buf, Attempt&& attempt) {
+  try {
+    with_retry(ctx.opt.io_retry, what, std::forward<Attempt>(attempt));
+  } catch (const IoError&) {
+    std::fill(buf.begin(), buf.end(), cfloat{});
+    ctx.mark_dropped(cpi);
+  }
+}
+
 /// Shared logic for reading range slabs of the round-robin files with
 /// next-CPI prefetch when the file system supports asynchronous reads.
 class SlabReader {
@@ -391,37 +408,23 @@ class SlabReader {
     }
   }
 
-  /// Wait for `cpi`'s read; returns the raw file-order slab. Transient
-  /// failures are retried per opt.io_retry by reissuing the whole slab
-  /// read (failed chunk buffers cannot be salvaged piecemeal). When the
-  /// error is permanent or attempts are exhausted: with `dropped` set the
-  /// slab is zero-filled and *dropped flagged (graceful degradation — a
-  /// throwing node would wedge every peer in World::run); with `dropped`
-  /// == nullptr the error propagates.
-  std::span<const cfloat> wait(int cpi, bool* dropped = nullptr) {
+  /// Wait for `cpi`'s read; returns the raw file-order slab. A retry
+  /// reissues the read; a read that still fails comes back zero-filled
+  /// with the CPI marked dropped (read_or_drop).
+  std::span<const cfloat> wait(int cpi) {
     if (empty()) return {};
-    auto& buf = bufs_[cpi & 1];
-    const std::string what = "slab read of cpi " + std::to_string(cpi);
     bool first_attempt = true;
-    try {
-      with_retry(ctx_.opt.io_retry, what, [&] {
-        if (!first_attempt) start(cpi);
-        first_attempt = false;
-        if (std::exception_ptr e = std::exchange(start_error_[cpi & 1], nullptr)) {
-          std::rethrow_exception(e);
-        }
-        pfs::wait_with_timeout(
-            pending_[cpi & 1],
-            effective_attempt_timeout(ctx_.opt.io_retry,
-                                      &ctx_.fs.engine().service_time()),
-            what);
-      });
-    } catch (const IoError&) {
-      if (dropped == nullptr) throw;
-      std::fill(buf.begin(), buf.end(), cfloat{});
-      *dropped = true;
-    }
-    return buf;
+    read_or_drop(ctx_, cpi, "slab read of cpi " + std::to_string(cpi),
+                 bufs_[cpi & 1], [&] {
+                   if (!first_attempt) start(cpi);
+                   first_attempt = false;
+                   if (std::exception_ptr e =
+                           std::exchange(start_error_[cpi & 1], nullptr)) {
+                     std::rethrow_exception(e);
+                   }
+                   pending_[cpi & 1].wait();
+                 });
+    return bufs_[cpi & 1];
   }
 
   bool async_capable() const { return ctx_.fs.config().supports_async; }
@@ -480,9 +483,7 @@ void run_read_node(NodeCtx& ctx, PhaseClock& clock) {
         if (lo < hi) await_credit(d, cpi - kCreditWindow);
       }
       if (!reader.async_capable()) reader.start(cpi);
-      bool dropped = false;
-      raw = reader.wait(cpi, &dropped);
-      if (dropped) ctx.mark_dropped(cpi);
+      raw = reader.wait(cpi);
     });
     if (cpi + 1 < ctx.opt.cpis && reader.async_capable()) reader.start(cpi + 1);
     clock.send([&] {
@@ -552,25 +553,11 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
                        std::span<cfloat> piece) {
     if (failover_files.empty()) failover_files = open_round_robin(ctx);
     auto& file = failover_files[static_cast<std::size_t>(cpi) % failover_files.size()];
-    const std::string what = "failover read of cpi " + std::to_string(cpi);
-    try {
-      with_retry(ctx.opt.io_retry, what, [&] {
-        // Separate-I/O mode requires range-major files, so rows [lo, hi)
-        // are exactly the contiguous piece the dead rank would have sent.
-        auto req = stap::start_read_cpi_slab(file, p, lo, hi, piece,
-                                             ctx.opt.file_layout);
-        pfs::wait_with_timeout(
-            req,
-            effective_attempt_timeout(ctx.opt.io_retry,
-                                      &ctx.fs.engine().service_time()),
-            what);
-      });
-    } catch (const IoError&) {
-      // Same degradation contract as SlabReader: zero-fill and drop the
-      // CPI rather than wedging the pipeline.
-      std::fill(piece.begin(), piece.end(), cfloat{});
-      ctx.mark_dropped(cpi);
-    }
+    // Separate-I/O mode requires range-major files, so rows [lo, hi) are
+    // exactly the contiguous piece the dead rank would have sent.
+    read_or_drop(ctx, cpi, "failover read of cpi " + std::to_string(cpi), piece, [&] {
+      stap::start_read_cpi_slab(file, p, lo, hi, piece, ctx.opt.file_layout).wait();
+    });
     ctx.sup->note_promoted_read();
   };
 
@@ -619,9 +606,7 @@ void run_doppler_node(NodeCtx& ctx, PhaseClock& clock) {
       std::span<const cfloat> raw;
       clock.recv([&] {
         if (!reader->async_capable()) reader->start(cpi);
-        bool dropped = false;
-        raw = reader->wait(cpi, &dropped);
-        if (dropped) ctx.mark_dropped(cpi);
+        raw = reader->wait(cpi);
         stap::unpack_slab_into(p, r_lo, r_hi, raw, cube, ctx.opt.file_layout);
       });
       if (cpi + 1 < ctx.opt.cpis && reader->async_capable()) reader->start(cpi + 1);
@@ -1211,6 +1196,9 @@ RunResult ThreadRunner::run() {
     report.config.total_nodes = total;
     report.config.pin_threads = options_.world.pin_threads;
     report.config.numa_interleave = options_.world.numa_interleave;
+    report.config.straggler_servers =
+        static_cast<int>(options_.fs_config.straggler_servers);
+    report.config.straggler_slowdown = options_.fs_config.straggler_slowdown;
     report.totals.throughput_cpis_per_s = result.metrics.throughput();
     report.totals.latency_s = result.metrics.latency();
     report.totals.wall_s = monotonic_now() - wall_start;

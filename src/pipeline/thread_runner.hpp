@@ -58,9 +58,9 @@ struct RunOptions {
   /// Numerical route used by the weight-computation tasks.
   stap::WeightSolver weight_solver = stap::WeightSolver::kCholeskySmi;
 
-  /// Retry policy for the per-CPI slab reads (transient I/O faults are
-  /// retried with backoff, each attempt bounded by attempt_timeout). The
-  /// default is fail-fast: one attempt, no timeout.
+  /// Retry policy for the per-CPI slab reads: a transient I/O fault
+  /// reissues the read after a backoff. A read that still fails is
+  /// zero-filled and its CPI dropped. The default is one attempt.
   RetryPolicy io_retry;
 
   /// Fault plan installed (process-wide, via fault::FaultScope) for the

@@ -134,7 +134,6 @@ TEST(ChaosSoak, StragglerPlusCrashWithSchedulerRecovers) {
   opt.fs_config = pfs::paragon_pfs(4);
   opt.fs_config.replicas = 2;
   opt.fs_config.straggler_sched = true;
-  opt.fs_config.hedged_reads = true;
   opt.fs_config.deadline_min_samples = 8;
   opt.fs_config.deadline_floor = 1e-3;
   opt.fs_config.server_latency = 2e-4;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -205,7 +206,8 @@ TEST(IoEngineStress, MixedDelaysAndErrorsNeverLoseWakeups) {
   EXPECT_LE(static_cast<std::uint64_t>(failed.load()), plan->injected_errors());
 }
 
-// wait_for() does not consume the request: poll-until-done then wait().
+// done() does not consume the request: poll it under injected delays until
+// the request completes, then wait() still delivers the bytes.
 TEST(IoEngineStress, WaitForPollsWithoutConsuming) {
   TempDir tmp;
   StripedFileSystem pfs(tmp.path(), small_cfg(2, 1024));
@@ -221,8 +223,9 @@ TEST(IoEngineStress, WaitForPollsWithoutConsuming) {
   std::vector<std::byte> buf(total);
   IoRequest req = f.iread(0, buf);
   int polls = 0;
-  while (!req.wait_for(1e-3)) {
+  while (!req.done()) {
     ASSERT_LT(++polls, 1000) << "request never completed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(req.done());
   req.wait();

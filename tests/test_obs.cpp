@@ -844,6 +844,40 @@ TEST(RunReportTest, QueueDepthPeakMatchesTheEngineSnapshot) {
   fsys::remove_all(root);
 }
 
+// A functional run records its straggler emulation in the report config,
+// as a simulator run with a straggler machine does: a 5x-slow server must
+// not read back as 0 servers at 1.0x.
+TEST(RunReportTest, FunctionalReportRecordsTheStragglerEmulation) {
+  const fsys::path root =
+      fsys::temp_directory_path() /
+      ("pstap_obs_straggler_" + std::to_string(::getpid()));
+  fsys::remove_all(root);
+  fsys::create_directories(root);
+  const fsys::path path = root / "report.json";
+
+  const auto p = stap::RadarParams::test_small();
+  const auto spec = pipeline::PipelineSpec::embedded_io(p, {1, 1, 1, 1, 1, 1, 1});
+  pipeline::RunOptions opt;
+  opt.cpis = 2;
+  opt.warmup = 1;
+  opt.seed = 5;
+  opt.fs_root = root / "fs";
+  opt.report_path = path;
+  opt.fs_config = pfs::paragon_pfs(4);
+  opt.fs_config.straggler_servers = 1;
+  opt.fs_config.straggler_slowdown = 5.0;
+  (void)pipeline::ThreadRunner(spec, opt).run();
+
+  const Json doc = parse_trace_file(path);  // throws if malformed
+  const auto& reports = doc.at("reports").array;
+  ASSERT_EQ(reports.size(), 1u);
+  const Json& config = reports[0].at("config");
+  EXPECT_EQ(reports[0].at("kind").str, "functional");
+  EXPECT_EQ(config.at("straggler_servers").number, 1.0);
+  EXPECT_EQ(config.at("straggler_slowdown").number, 5.0);
+  fsys::remove_all(root);
+}
+
 // ------------------------------------------------------- report_diff.py --
 
 obs::RunReport synthetic_report(double compute_scale) {

@@ -444,23 +444,8 @@ TEST(Pfs, IoRequestWaitAfterMoveIsSafe) {
 TEST(Pfs, DefaultConstructedIoRequestIsDone) {
   IoRequest req;
   EXPECT_TRUE(req.done());
-  EXPECT_TRUE(req.wait_for(0.0));
   EXPECT_NO_THROW(req.wait());
   EXPECT_EQ(req.failed_chunks(), 0u);
-}
-
-TEST(Pfs, WaitWithTimeoutZeroMeansUnbounded) {
-  TempDir tmp;
-  StripedFileSystem pfs(tmp.path(), small_cfg(4, 64));
-  const auto data = pattern_bytes(4096, 16);
-  pfs.write_file("f", data);
-  StripedFile f = pfs.open("f");
-  std::vector<std::byte> buf(4096);
-  IoRequest req = f.iread(0, buf);
-  EXPECT_NO_THROW(wait_with_timeout(req, 0.0, "read"));
-  EXPECT_EQ(buf, data);
-  // Generous (non-firing) timeout on an already-consumed request: no-op.
-  EXPECT_NO_THROW(wait_with_timeout(req, 10.0, "read"));
 }
 
 TEST(Pfs, EmptyReadIsNoop) {

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -52,7 +51,7 @@ std::vector<std::byte> pattern_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 /// Scheduler-enabled replicated config tuned so tests exercise hedging
-/// quickly: tiny tick/window, a low warm-up bar, and a short floor.
+/// quickly: a short window, a low warm-up bar, and a short floor.
 PfsConfig sched_cfg(std::size_t factor, std::size_t unit) {
   PfsConfig cfg;
   cfg.name = "sched-test";
@@ -60,10 +59,8 @@ PfsConfig sched_cfg(std::size_t factor, std::size_t unit) {
   cfg.stripe_unit = unit;
   cfg.replicas = 2;
   cfg.straggler_sched = true;
-  cfg.hedged_reads = true;
   cfg.deadline_min_samples = 8;
   cfg.deadline_floor = 1e-3;
-  cfg.sched_tick = 2e-4;
   cfg.sched_window = 50e-3;
   return cfg;
 }
@@ -143,27 +140,6 @@ TEST(StragglerSched, SchedulerOffKeepsPerChunkJobs) {
   const std::uint64_t before = pfs.engine().queue_depth().count();
   EXPECT_EQ(pfs.read_file("f"), data);
   EXPECT_EQ(pfs.engine().queue_depth().count() - before, 16u);
-}
-
-// The PSTAP_STRAGGLER_SCHED environment variable overrides the config
-// flag in both directions at mount time.
-TEST(StragglerSched, EnvOverrideControlsScheduler) {
-  PfsConfig cfg;
-  cfg.straggler_sched = false;
-  ::setenv("PSTAP_STRAGGLER_SCHED", "1", 1);
-  apply_env_overrides(cfg);
-  EXPECT_TRUE(cfg.straggler_sched);
-  ::setenv("PSTAP_STRAGGLER_SCHED", "0", 1);
-  apply_env_overrides(cfg);
-  EXPECT_FALSE(cfg.straggler_sched);
-  cfg.straggler_sched = true;
-  ::setenv("PSTAP_STRAGGLER_SCHED", "off", 1);
-  apply_env_overrides(cfg);
-  EXPECT_FALSE(cfg.straggler_sched);
-  ::unsetenv("PSTAP_STRAGGLER_SCHED");
-  cfg.straggler_sched = true;
-  apply_env_overrides(cfg);  // unset -> leaves the config flag alone
-  EXPECT_TRUE(cfg.straggler_sched);
 }
 
 // --------------------------------------------------------- hedged reads --
@@ -398,36 +374,6 @@ TEST(StragglerBreaker, FailedProbeReopensBreaker) {
             data);
   EXPECT_EQ(pfs.engine().breaker_reopened(), 0u);
   EXPECT_TRUE(pfs.engine().quarantined(0));
-}
-
-// --------------------------------------------- deadline-aware timeouts --
-
-TEST(DeadlineRetry, EffectiveTimeoutAdaptsToQuantiles) {
-  RetryPolicy policy;
-  policy.attempt_timeout = 5.0;
-  policy.deadline_multiplier = 3.0;
-  policy.deadline_quantile = 0.99;
-  policy.deadline_floor = 10e-3;
-  policy.deadline_min_samples = 4;
-
-  obs::Histogram h;
-  // Cold: falls back to the fixed timeout.
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, &h), 5.0);
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, nullptr), 5.0);
-
-  for (int i = 0; i < 100; ++i) h.record(1e-3);
-  const Seconds t = effective_attempt_timeout(policy, &h);
-  EXPECT_GE(t, policy.deadline_floor);  // floored
-  EXPECT_LT(t, 5.0);                    // tightened well below the fixed bound
-
-  // The adaptive bound never loosens an explicit tight timeout.
-  policy.attempt_timeout = 1e-3;
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, &h), 1e-3);
-
-  // Opt-out: multiplier 0 keeps the fixed semantics exactly.
-  policy.deadline_multiplier = 0;
-  policy.attempt_timeout = 0;
-  EXPECT_DOUBLE_EQ(effective_attempt_timeout(policy, &h), 0.0);
 }
 
 }  // namespace
